@@ -314,7 +314,7 @@ BM_ElementwiseMulSameShape(benchmark::State& state)
     const Tensor b = MakeTensor(Shape{n}, 10);
     for (auto _ : state) {
         benchmark::DoNotOptimize(kernels::BinaryMap(
-            a, b, [](float x, float y) { return x * y; }, pool));
+            a, b, kernels::BindParams<kernels::MulS>{nullptr}, pool));
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
@@ -329,10 +329,94 @@ BM_ElementwiseMulBroadcast(benchmark::State& state)
     const Tensor b = MakeTensor(Shape{64}, 12);
     for (auto _ : state) {
         benchmark::DoNotOptimize(kernels::BinaryMap(
-            a, b, [](float x, float y) { return x * y; }, pool));
+            a, b, kernels::BindParams<kernels::MulS>{nullptr}, pool));
     }
 }
 BENCHMARK(BM_ElementwiseMulBroadcast)->Arg(64)->Arg(1024);
+
+// ---- conv-net activation shapes ---------------------------------------------
+// The elementwise and reduction ops around each conv layer of residual
+// and vgg, at batch 8 on a 32x32 NHWC activation with C channels. The
+// maps go through the same explicitly instantiated kernels the ops
+// registry runs (BindParams of the registered scalar function), not a
+// copy compiled with this file's flags.
+
+/** Bias add [8,32,32,C] + [C], the Add after every conv. */
+void
+BM_BiasAdd(benchmark::State& state)
+{
+    const std::int64_t c = state.range(0);
+    parallel::ThreadPool pool(1);
+    const Tensor x = MakeTensor(Shape{8, 32, 32, c}, 21);
+    const Tensor bias = MakeTensor(Shape{c}, 22);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(kernels::BinaryMap(
+            x, bias, kernels::BindParams<kernels::AddS>{nullptr}, pool));
+    }
+    state.SetItemsProcessed(state.iterations() * x.num_elements());
+}
+BENCHMARK(BM_BiasAdd)->Arg(8)->Arg(64);
+
+/** The bias gradient: SumToShapeOf [8,32,32,C] down to [C]. */
+void
+BM_BiasGradSumToShape(benchmark::State& state)
+{
+    const std::int64_t c = state.range(0);
+    parallel::ThreadPool pool(1);
+    const Tensor g = MakeTensor(Shape{8, 32, 32, c}, 23);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(kernels::ReduceToShape(g, Shape{c}, pool));
+    }
+    state.SetItemsProcessed(state.iterations() * g.num_elements());
+}
+BENCHMARK(BM_BiasGradSumToShape)->Arg(8)->Arg(64);
+
+void
+BM_Relu(benchmark::State& state)
+{
+    const std::int64_t c = state.range(0);
+    parallel::ThreadPool pool(1);
+    const Tensor x = MakeTensor(Shape{8, 32, 32, c}, 24);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(kernels::UnaryMap(
+            x, kernels::BindParams<kernels::ReluS>{nullptr}, pool));
+    }
+    state.SetItemsProcessed(state.iterations() * x.num_elements());
+}
+BENCHMARK(BM_Relu)->Arg(8)->Arg(64);
+
+void
+BM_ReluGrad(benchmark::State& state)
+{
+    const std::int64_t c = state.range(0);
+    parallel::ThreadPool pool(1);
+    const Tensor g = MakeTensor(Shape{8, 32, 32, c}, 25);
+    const Tensor x = MakeTensor(Shape{8, 32, 32, c}, 26);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(kernels::BinaryMap(
+            g, x, kernels::BindParams<kernels::ReluGradS>{nullptr}, pool));
+    }
+    state.SetItemsProcessed(state.iterations() * g.num_elements());
+}
+BENCHMARK(BM_ReluGrad)->Arg(8)->Arg(64);
+
+/**
+ * The Tile inside ReduceSumGrad for residual's global average pool:
+ * the [8,1,1,C] gradient of ReduceMean over axes {1,2} spread back
+ * over an 8x8 feature map.
+ */
+void
+BM_ReduceMeanGradTile(benchmark::State& state)
+{
+    const std::int64_t c = state.range(0);
+    parallel::ThreadPool pool(1);
+    const Tensor g = MakeTensor(Shape{8, 1, 1, c}, 27);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(kernels::Tile(g, {1, 8, 8, 1}, pool));
+    }
+    state.SetItemsProcessed(state.iterations() * g.num_elements() * 64);
+}
+BENCHMARK(BM_ReduceMeanGradTile)->Arg(8)->Arg(64);
 
 void
 BM_ReduceSumLastAxis(benchmark::State& state)

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "kernels/row_walk.h"
+
 namespace fathom::kernels {
 
 Tensor
@@ -34,44 +36,21 @@ Transpose(const Tensor& input, const std::vector<int>& perm,
     const Shape out_shape(out_dims);
     Tensor out(input.dtype(), out_shape);
 
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
-    }
     // Stride of output dimension d within the *input* buffer.
+    const auto in_strides = ContiguousStrides(in_shape.dims());
     std::vector<std::int64_t> src_strides(static_cast<std::size_t>(rank));
     for (int d = 0; d < rank; ++d) {
         src_strides[static_cast<std::size_t>(d)] =
             in_strides[static_cast<std::size_t>(perm[static_cast<std::size_t>(d)])];
     }
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
-    }
-
-    const std::int64_t n = out_shape.num_elements();
-    auto copy_loop = [&](auto* o, const auto* in) {
-        pool.ParallelFor(n, /*grain=*/2048,
-                         [&](std::int64_t i0, std::int64_t i1) {
-            for (std::int64_t flat = i0; flat < i1; ++flat) {
-                std::int64_t rem = flat;
-                std::int64_t src = 0;
-                for (int d = 0; d < rank; ++d) {
-                    const std::int64_t od =
-                        rem / out_strides[static_cast<std::size_t>(d)];
-                    rem -= od * out_strides[static_cast<std::size_t>(d)];
-                    src += od * src_strides[static_cast<std::size_t>(d)];
-                }
-                o[flat] = in[src];
-            }
-        });
+    auto copy = [&](const auto* in, auto* o) {
+        CopyStrided(out_dims, in, src_strides, o, ContiguousStrides(out_dims),
+                    pool);
     };
     if (input.dtype() == DType::kFloat32) {
-        copy_loop(out.data<float>(), input.data<float>());
+        copy(input.data<float>(), out.data<float>());
     } else {
-        copy_loop(out.data<std::int32_t>(), input.data<std::int32_t>());
+        copy(input.data<std::int32_t>(), out.data<std::int32_t>());
     }
     return out;
 }
@@ -171,39 +150,25 @@ Slice(const Tensor& input, const std::vector<std::int64_t>& begin,
         }
         out_dims[static_cast<std::size_t>(d)] = s;
     }
-    const Shape out_shape(out_dims);
-    Tensor out(input.dtype(), out_shape);
-
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
+    Tensor out(input.dtype(), Shape(out_dims));
+    if (out.num_elements() == 0) {
+        return out;
     }
-
-    const std::int64_t n = out_shape.num_elements();
-    auto copy_loop = [&](auto* o, const auto* in) {
-        for (std::int64_t flat = 0; flat < n; ++flat) {
-            std::int64_t rem = flat;
-            std::int64_t src = 0;
-            for (int d = 0; d < rank; ++d) {
-                const std::int64_t od =
-                    rem / out_strides[static_cast<std::size_t>(d)];
-                rem -= od * out_strides[static_cast<std::size_t>(d)];
-                src += (od + begin[static_cast<std::size_t>(d)]) *
-                       in_strides[static_cast<std::size_t>(d)];
-            }
-            o[flat] = in[src];
-        }
+    const auto in_strides = ContiguousStrides(in_shape.dims());
+    std::int64_t first = 0;
+    for (int d = 0; d < rank; ++d) {
+        first += begin[static_cast<std::size_t>(d)] *
+                 in_strides[static_cast<std::size_t>(d)];
+    }
+    auto copy = [&](const auto* in, auto* o) {
+        CopyStrided(out_dims, in + first, in_strides, o,
+                    ContiguousStrides(out_dims), pool);
     };
     if (input.dtype() == DType::kFloat32) {
-        copy_loop(out.data<float>(), input.data<float>());
+        copy(input.data<float>(), out.data<float>());
     } else {
-        copy_loop(out.data<std::int32_t>(), input.data<std::int32_t>());
+        copy(input.data<std::int32_t>(), out.data<std::int32_t>());
     }
-    (void)pool;
     return out;
 }
 
@@ -315,31 +280,18 @@ Pad(const Tensor& input,
         begin[static_cast<std::size_t>(d)] = before;
     }
     Tensor out = Tensor::Zeros(Shape(out_dims));
-    const Shape& out_shape = out.shape();
-
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
+    if (input.num_elements() == 0) {
+        return out;
     }
-    const float* in = input.data<float>();
-    float* o = out.data<float>();
-    const std::int64_t n = in_shape.num_elements();
-    for (std::int64_t flat = 0; flat < n; ++flat) {
-        std::int64_t rem = flat;
-        std::int64_t dst = 0;
-        for (int d = 0; d < rank; ++d) {
-            const std::int64_t id = rem / in_strides[static_cast<std::size_t>(d)];
-            rem -= id * in_strides[static_cast<std::size_t>(d)];
-            dst += (id + begin[static_cast<std::size_t>(d)]) *
-                   out_strides[static_cast<std::size_t>(d)];
-        }
-        o[dst] = in[flat];
+    const auto out_strides = ContiguousStrides(out_dims);
+    std::int64_t first = 0;
+    for (int d = 0; d < rank; ++d) {
+        first += begin[static_cast<std::size_t>(d)] *
+                 out_strides[static_cast<std::size_t>(d)];
     }
-    (void)pool;
+    CopyStrided(in_shape.dims(), input.data<float>(),
+                ContiguousStrides(in_shape.dims()), out.data<float>() + first,
+                out_strides, pool);
     return out;
 }
 

@@ -29,109 +29,16 @@ BroadcastShape(const Shape& a, const Shape& b)
     return Shape(dims);
 }
 
-Tensor
-UnaryMap(const Tensor& input, const std::function<float(float)>& fn,
-         parallel::ThreadPool& pool, bool may_alias)
-{
-    // Aliasing is safe because the loop below reads in[i] before
-    // writing o[i]; with the same partition and the same fn the bits
-    // are identical either way.
-    Tensor out = (may_alias && input.dtype() == DType::kFloat32)
-                     ? input
-                     : Tensor(DType::kFloat32, input.shape());
-    const float* in = input.data<float>();
-    float* o = out.data<float>();
-    pool.ParallelFor(input.num_elements(), /*grain=*/4096,
-                     [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-            o[i] = fn(in[i]);
-        }
-    });
-    return out;
-}
-
-namespace {
-
-/**
- * Broadcast element strides of @p s against output shape @p out:
- * stride 0 wherever the input dimension is 1 (broadcast), row-major
- * stride otherwise. Strides are aligned to the output's rank.
- */
 std::vector<std::int64_t>
 BroadcastStrides(const Shape& s, const Shape& out)
 {
-    const int out_rank = out.rank();
-    std::vector<std::int64_t> strides(static_cast<std::size_t>(out_rank), 0);
-    const int offset = out_rank - s.rank();
-    std::int64_t stride = 1;
-    for (int i = s.rank() - 1; i >= 0; --i) {
-        if (s.dim(i) != 1) {
-            strides[static_cast<std::size_t>(i + offset)] = stride;
-        }
-        stride *= s.dim(i);
+    std::vector<std::int64_t> strides(
+        static_cast<std::size_t>(out.rank() - s.rank()), 0);
+    const auto own = ContiguousStrides(s.dims());
+    for (int i = 0; i < s.rank(); ++i) {
+        strides.push_back(s.dim(i) == 1 ? 0 : own[static_cast<std::size_t>(i)]);
     }
     return strides;
-}
-
-}  // namespace
-
-Tensor
-BinaryMap(const Tensor& a, const Tensor& b,
-          const std::function<float(float, float)>& fn,
-          parallel::ThreadPool& pool, bool may_alias)
-{
-    const float* pa = a.data<float>();
-    const float* pb = b.data<float>();
-    const bool alias_ok = may_alias && a.dtype() == DType::kFloat32 &&
-                          b.dtype() == DType::kFloat32;
-
-    if (a.shape() == b.shape()) {
-        Tensor out = alias_ok ? a : Tensor(DType::kFloat32, a.shape());
-        float* o = out.data<float>();
-        pool.ParallelFor(a.num_elements(), /*grain=*/4096,
-                         [&](std::int64_t i0, std::int64_t i1) {
-            for (std::int64_t i = i0; i < i1; ++i) {
-                o[i] = fn(pa[i], pb[i]);
-            }
-        });
-        return out;
-    }
-
-    const Shape out_shape = BroadcastShape(a.shape(), b.shape());
-    // Broadcast path: aliasing needs out slot i to correspond to a's
-    // element i (true exactly when a already has the output shape, so
-    // off_a == flat and each slot is read before written).
-    Tensor out = (alias_ok && out_shape == a.shape())
-                     ? a
-                     : Tensor(DType::kFloat32, out_shape);
-    float* o = out.data<float>();
-    const int rank = out_shape.rank();
-    const auto sa = BroadcastStrides(a.shape(), out_shape);
-    const auto sb = BroadcastStrides(b.shape(), out_shape);
-    const std::int64_t n = out_shape.num_elements();
-
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
-    }
-
-    pool.ParallelFor(n, /*grain=*/2048, [&](std::int64_t i0, std::int64_t i1) {
-        std::vector<std::int64_t> idx(static_cast<std::size_t>(rank));
-        for (std::int64_t flat = i0; flat < i1; ++flat) {
-            std::int64_t rem = flat;
-            std::int64_t off_a = 0;
-            std::int64_t off_b = 0;
-            for (int d = 0; d < rank; ++d) {
-                const std::int64_t od = rem / out_strides[static_cast<std::size_t>(d)];
-                rem -= od * out_strides[static_cast<std::size_t>(d)];
-                off_a += od * sa[static_cast<std::size_t>(d)];
-                off_b += od * sb[static_cast<std::size_t>(d)];
-            }
-            o[flat] = fn(pa[off_a], pb[off_b]);
-        }
-    });
-    return out;
 }
 
 Tensor
@@ -141,55 +48,22 @@ ReduceToShape(const Tensor& from, const Shape& to, parallel::ThreadPool& pool)
         return from;
     }
     const Shape& fs = from.shape();
-    const int rank = fs.rank();
-    const int offset = rank - to.rank();
-    if (offset < 0) {
-        throw std::invalid_argument("ReduceToShape: target rank larger than source");
+    if (BroadcastShape(fs, to) != fs) {
+        throw std::invalid_argument("ReduceToShape: " + fs.ToString() +
+                                    " does not broadcast-reduce to " +
+                                    to.ToString());
     }
-
-    Tensor out = Tensor::Zeros(to);
-    const float* in = from.data<float>();
-    float* o = out.data<float>();
-
-    // Strides of the target, aligned against the source rank; broadcast
-    // (or missing-leading) dimensions get stride 0 so all their source
-    // entries accumulate into one cell.
-    std::vector<std::int64_t> to_strides(static_cast<std::size_t>(rank), 0);
-    {
-        std::int64_t stride = 1;
-        for (int i = to.rank() - 1; i >= 0; --i) {
-            if (to.dim(i) != 1) {
-                if (to.dim(i) != fs.dim(i + offset)) {
-                    throw std::invalid_argument(
-                        "ReduceToShape: " + fs.ToString() +
-                        " does not broadcast-reduce to " + to.ToString());
-                }
-                to_strides[static_cast<std::size_t>(i + offset)] = stride;
-            }
-            stride *= to.dim(i);
-        }
-    }
-    std::vector<std::int64_t> from_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        from_strides[static_cast<std::size_t>(i)] =
-            from_strides[static_cast<std::size_t>(i + 1)] * fs.dim(i + 1);
-    }
-
     // Serial accumulation (scatter pattern); reductions of this kind
     // are small compared to the ops producing their inputs.
-    const std::int64_t n = fs.num_elements();
-    for (std::int64_t flat = 0; flat < n; ++flat) {
-        std::int64_t rem = flat;
-        std::int64_t off = 0;
-        for (int d = 0; d < rank; ++d) {
-            const std::int64_t fd = rem / from_strides[static_cast<std::size_t>(d)];
-            rem -= fd * from_strides[static_cast<std::size_t>(d)];
-            off += fd * to_strides[static_cast<std::size_t>(d)];
-        }
-        o[off] += in[flat];
-    }
+    Tensor out = Tensor::Zeros(to);
+    AccumulateRows(fs.dims(), BroadcastStrides(to, fs), from.data<float>(),
+                   out.data<float>(),
+                   [](float acc, float v) { return acc + v; });
     (void)pool;
     return out;
 }
+
+FATHOM_UNARY_SCALARS(FATHOM_UNARY_MAP)
+FATHOM_BINARY_SCALARS(FATHOM_BINARY_MAP)
 
 }  // namespace fathom::kernels

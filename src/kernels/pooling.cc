@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "kernels/reduction.h"
+
 namespace fathom::kernels {
 
 PoolGeometry
@@ -96,16 +98,15 @@ MaxPool(const Tensor& input, std::int64_t window, std::int64_t stride,
                       std::int64_t h0, std::int64_t h1, std::int64_t w0,
                       std::int64_t w1) {
         float* optr = o + n * out_img + oh * out_row + ow * g.channels;
-        for (std::int64_t c = 0; c < g.channels; ++c) {
-            float best = -std::numeric_limits<float>::infinity();
-            for (std::int64_t h = h0; h < h1; ++h) {
-                for (std::int64_t w = w0; w < w1; ++w) {
-                    best = std::max(best,
-                                    in[n * in_img + h * in_row +
-                                       w * g.channels + c]);
+        std::fill(optr, optr + g.channels,
+                  -std::numeric_limits<float>::infinity());
+        for (std::int64_t h = h0; h < h1; ++h) {
+            for (std::int64_t w = w0; w < w1; ++w) {
+                const float* x = in + n * in_img + h * in_row + w * g.channels;
+                for (std::int64_t c = 0; c < g.channels; ++c) {
+                    optr[c] = NanMax(optr[c], x[c]);
                 }
             }
-            optr[c] = best;
         }
     });
     return out;
@@ -141,7 +142,10 @@ MaxPoolGrad(const Tensor& input, const Tensor& grad_out, std::int64_t window,
                 for (std::int64_t w = w0; w < w1; ++w) {
                     const std::int64_t idx =
                         n * in_img + h * in_row + w * g.channels + c;
-                    if (in[idx] > best) {
+                    // The element NanMax leaves in the forward output:
+                    // the last NaN, else the first maximum.
+                    if (best_idx < 0 || in[idx] != in[idx] ||
+                        in[idx] > best) {
                         best = in[idx];
                         best_idx = idx;
                     }

@@ -5,6 +5,10 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+
+#include "kernels/row_walk.h"
 
 namespace fathom::kernels {
 
@@ -30,82 +34,49 @@ Reduce(const Tensor& input, ReduceOp op, const std::vector<int>& axes,
         }
     }
 
+    // Each input element's output cell, via per-axis strides (stride 0
+    // on reduced axes).
     std::vector<std::int64_t> out_dims;
-    for (int i = 0; i < rank; ++i) {
-        if (reduce_axes.count(i)) {
-            if (keep_dims) {
-                out_dims.push_back(1);
-            }
+    std::vector<std::int64_t> cell_strides(static_cast<std::size_t>(rank), 0);
+    std::int64_t stride = 1;
+    std::int64_t count = 1;
+    for (int i = rank - 1; i >= 0; --i) {
+        if (reduce_axes.count(i) == 0) {
+            cell_strides[static_cast<std::size_t>(i)] = stride;
+            stride *= in_shape.dim(i);
+            out_dims.insert(out_dims.begin(), in_shape.dim(i));
         } else {
-            out_dims.push_back(in_shape.dim(i));
+            count *= in_shape.dim(i);
+            if (keep_dims) {
+                out_dims.insert(out_dims.begin(), 1);
+            }
         }
     }
     const Shape out_shape(out_dims);
-
-    // Map each input element to its output cell via per-axis strides
-    // (stride 0 on reduced axes).
-    std::vector<std::int64_t> out_strides_by_axis(
-        static_cast<std::size_t>(rank), 0);
-    {
-        std::int64_t stride = 1;
-        for (int i = rank - 1; i >= 0; --i) {
-            if (!reduce_axes.count(i)) {
-                out_strides_by_axis[static_cast<std::size_t>(i)] = stride;
-                stride *= in_shape.dim(i);
-            }
-        }
-    }
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
-    }
-
-    Tensor out = Tensor::Full(
-        out_shape, op == ReduceOp::kMax
-                       ? -std::numeric_limits<float>::infinity()
-                       : 0.0f);
     const float* in = input.data<float>();
-    float* o = out.data<float>();
-    const std::int64_t n = input.num_elements();
-    const std::int64_t out_n = out.num_elements();
+    (void)pool;
+    if (op == ReduceOp::kMax) {
+        Tensor out =
+            Tensor::Full(out_shape, -std::numeric_limits<float>::infinity());
+        AccumulateRows(in_shape.dims(), cell_strides, in, out.data<float>(),
+                       NanMax);
+        return out;
+    }
 
     // Sum/mean accumulate in double: a float accumulator loses low
     // bits once the running sum dwarfs the addends, which is routine
     // for the million-element activation reductions in vgg/residual.
-    std::vector<double> acc;
-    if (op != ReduceOp::kMax) {
-        acc.assign(static_cast<std::size_t>(out_n), 0.0);
+    std::vector<double> acc(static_cast<std::size_t>(stride), 0.0);
+    AccumulateRows(in_shape.dims(), cell_strides, in, acc.data(),
+                   [](double sum, float v) {
+                       return sum + static_cast<double>(v);
+                   });
+    const double scale =
+        op == ReduceOp::kMean && count > 0 ? 1.0 / count : 1.0;
+    Tensor out(DType::kFloat32, out_shape);
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+        out.data<float>()[i] = static_cast<float>(acc[i] * scale);
     }
-    for (std::int64_t flat = 0; flat < n; ++flat) {
-        std::int64_t rem = flat;
-        std::int64_t off = 0;
-        for (int d = 0; d < rank; ++d) {
-            const std::int64_t id = rem / in_strides[static_cast<std::size_t>(d)];
-            rem -= id * in_strides[static_cast<std::size_t>(d)];
-            off += id * out_strides_by_axis[static_cast<std::size_t>(d)];
-        }
-        if (op == ReduceOp::kMax) {
-            o[off] = std::max(o[off], in[flat]);
-        } else {
-            acc[static_cast<std::size_t>(off)] +=
-                static_cast<double>(in[flat]);
-        }
-    }
-
-    if (op != ReduceOp::kMax) {
-        std::int64_t count = 1;
-        for (int a : reduce_axes) {
-            count *= in_shape.dim(a);
-        }
-        const double scale =
-            op == ReduceOp::kMean && count > 0 ? 1.0 / count : 1.0;
-        for (std::int64_t i = 0; i < out_n; ++i) {
-            o[i] = static_cast<float>(acc[static_cast<std::size_t>(i)] *
-                                      scale);
-        }
-    }
-    (void)pool;
     return out;
 }
 
@@ -208,52 +179,51 @@ ArgMaxLastDim(const Tensor& input, parallel::ThreadPool& pool)
     return out;
 }
 
+namespace {
+
+/**
+ * Tile's output as the index space [m0, d0, m1, d1, ...] (m a multiple,
+ * d an input extent; row-major over it is row-major over the output)
+ * and the input's strides over it: 0 along every multiple.
+ */
+struct TiledView {
+    std::vector<std::int64_t> dims;
+    std::vector<std::int64_t> strides;
+    Shape out;
+};
+
+TiledView
+ViewTiled(const Shape& in, const std::vector<std::int64_t>& multiples,
+          const std::string& who)
+{
+    if (static_cast<int>(multiples.size()) != in.rank()) {
+        throw std::invalid_argument(who + ": multiples rank mismatch");
+    }
+    TiledView view;
+    const auto in_strides = ContiguousStrides(in.dims());
+    std::vector<std::int64_t> out_dims;
+    for (std::size_t i = 0; i < multiples.size(); ++i) {
+        if (multiples[i] < 1) {
+            throw std::invalid_argument(who + ": multiples must be >= 1");
+        }
+        view.dims.insert(view.dims.end(), {multiples[i], in.dims()[i]});
+        view.strides.insert(view.strides.end(), {0, in_strides[i]});
+        out_dims.push_back(multiples[i] * in.dims()[i]);
+    }
+    view.out = Shape(out_dims);
+    return view;
+}
+
+}  // namespace
+
 Tensor
 Tile(const Tensor& input, const std::vector<std::int64_t>& multiples,
      parallel::ThreadPool& pool)
 {
-    const Shape& in_shape = input.shape();
-    const int rank = in_shape.rank();
-    if (static_cast<int>(multiples.size()) != rank) {
-        throw std::invalid_argument("Tile: multiples rank mismatch");
-    }
-    std::vector<std::int64_t> out_dims(static_cast<std::size_t>(rank));
-    for (int i = 0; i < rank; ++i) {
-        if (multiples[static_cast<std::size_t>(i)] < 1) {
-            throw std::invalid_argument("Tile: multiples must be >= 1");
-        }
-        out_dims[static_cast<std::size_t>(i)] =
-            in_shape.dim(i) * multiples[static_cast<std::size_t>(i)];
-    }
-    const Shape out_shape(out_dims);
-    Tensor out(DType::kFloat32, out_shape);
-    const float* in = input.data<float>();
-    float* o = out.data<float>();
-
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * in_shape.dim(i + 1);
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
-    }
-
-    const std::int64_t n = out_shape.num_elements();
-    pool.ParallelFor(n, /*grain=*/2048, [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t flat = i0; flat < i1; ++flat) {
-            std::int64_t rem = flat;
-            std::int64_t src = 0;
-            for (int d = 0; d < rank; ++d) {
-                const std::int64_t od =
-                    rem / out_strides[static_cast<std::size_t>(d)];
-                rem -= od * out_strides[static_cast<std::size_t>(d)];
-                src += (od % in_shape.dim(d)) *
-                       in_strides[static_cast<std::size_t>(d)];
-            }
-            o[flat] = in[src];
-        }
-    });
+    const TiledView view = ViewTiled(input.shape(), multiples, "Tile");
+    Tensor out(DType::kFloat32, view.out);
+    CopyStrided(view.dims, input.data<float>(), view.strides,
+                out.data<float>(), ContiguousStrides(view.dims), pool);
     return out;
 }
 
@@ -262,35 +232,14 @@ TileGrad(const Tensor& grad_out, const Shape& input_shape,
          const std::vector<std::int64_t>& multiples,
          parallel::ThreadPool& pool)
 {
-    const int rank = input_shape.rank();
-    if (static_cast<int>(multiples.size()) != rank) {
-        throw std::invalid_argument("TileGrad: multiples rank mismatch");
+    const TiledView view = ViewTiled(input_shape, multiples, "TileGrad");
+    if (grad_out.shape() != view.out) {
+        throw std::invalid_argument("TileGrad: gradient shape mismatch");
     }
     Tensor grad_in = Tensor::Zeros(input_shape);
-    const Shape& out_shape = grad_out.shape();
-    const float* go = grad_out.data<float>();
-    float* gi = grad_in.data<float>();
-
-    std::vector<std::int64_t> in_strides(static_cast<std::size_t>(rank), 1);
-    std::vector<std::int64_t> out_strides(static_cast<std::size_t>(rank), 1);
-    for (int i = rank - 2; i >= 0; --i) {
-        in_strides[static_cast<std::size_t>(i)] =
-            in_strides[static_cast<std::size_t>(i + 1)] * input_shape.dim(i + 1);
-        out_strides[static_cast<std::size_t>(i)] =
-            out_strides[static_cast<std::size_t>(i + 1)] * out_shape.dim(i + 1);
-    }
-    const std::int64_t n = out_shape.num_elements();
-    for (std::int64_t flat = 0; flat < n; ++flat) {
-        std::int64_t rem = flat;
-        std::int64_t dst = 0;
-        for (int d = 0; d < rank; ++d) {
-            const std::int64_t od = rem / out_strides[static_cast<std::size_t>(d)];
-            rem -= od * out_strides[static_cast<std::size_t>(d)];
-            dst += (od % input_shape.dim(d)) *
-                   in_strides[static_cast<std::size_t>(d)];
-        }
-        gi[dst] += go[flat];
-    }
+    AccumulateRows(view.dims, view.strides, grad_out.data<float>(),
+                   grad_in.data<float>(),
+                   [](float acc, float v) { return acc + v; });
     (void)pool;
     return grad_in;
 }

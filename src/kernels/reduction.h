@@ -5,6 +5,7 @@
 #ifndef FATHOM_KERNELS_REDUCTION_H
 #define FATHOM_KERNELS_REDUCTION_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -12,6 +13,16 @@
 #include "tensor/tensor.h"
 
 namespace fathom::kernels {
+
+/**
+ * max(@p best, @p v) with NaN propagating, as in NumPy and TensorFlow
+ * (std::max alone drops a NaN @p v). Ties keep @p best.
+ */
+inline float
+NanMax(float best, float v)
+{
+    return v != v ? v : std::max(best, v);
+}
 
 /** Reduction operator selector. */
 enum class ReduceOp { kSum, kMean, kMax };

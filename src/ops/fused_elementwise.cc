@@ -177,14 +177,15 @@ FusedElementwiseKernel(OpContext& ctx)
             // (the alias target); kind 2 flips the arguments at the
             // scalar level, which computes identical bits because each
             // tensor's broadcast offsets depend only on its own shape.
-            cur = kernels::BinaryMap(
-                cur, side,
-                s.kind == 1
-                    ? std::function<float(float, float)>(
-                          [fn, p](float a, float b) { return fn(a, b, p); })
-                    : std::function<float(float, float)>(
-                          [fn, p](float a, float b) { return fn(b, a, p); }),
-                ctx.pool(), alias);
+            cur = s.kind == 1
+                      ? kernels::BinaryMap(
+                            cur, side,
+                            [fn, p](float a, float b) { return fn(a, b, p); },
+                            ctx.pool(), alias)
+                      : kernels::BinaryMap(
+                            cur, side,
+                            [fn, p](float a, float b) { return fn(b, a, p); },
+                            ctx.pool(), alias);
         }
         first = false;
     }

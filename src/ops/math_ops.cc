@@ -2,7 +2,7 @@
  * @file
  * Elementwise arithmetic ops and their gradients.
  */
-#include <cmath>
+#include <type_traits>
 
 #include "autodiff/gradients.h"
 #include "graph/op_registry.h"
@@ -33,98 +33,45 @@ using graph::verify::ShapeFnRegistry;
 using graph::verify::TypeInfo;
 
 /**
- * Shape fn shared by all broadcasting float binaries: both inputs
- * float32, output is their NumPy broadcast; @p param_attrs are the
- * required static float attrs (e.g. ClipByValueGrad's bounds).
+ * Shape fn shared by the float elementwise ops: @p arity float32
+ * inputs, output their NumPy broadcast (a unary's mirrors its input);
+ * @p param_attrs are the required static float attrs (e.g. Pow's
+ * exponent).
  */
 void
-RegisterBinaryShapeFn(const std::string& name,
-                      std::vector<std::string> param_attrs)
+RegisterElementwiseShapeFn(const std::string& name, int arity,
+                           std::vector<std::string> param_attrs)
 {
     ShapeFnRegistry::Global().Register(
-        name, [param_attrs](InferenceContext& ctx) {
-            if (ctx.num_inputs() != 2) {
-                ctx.Fail("expected 2 inputs, got " +
+        name, [arity, param_attrs](InferenceContext& ctx) {
+            if (ctx.num_inputs() != arity) {
+                ctx.Fail("expected " + std::to_string(arity) +
+                         (arity == 1 ? " input, got " : " inputs, got ") +
                          std::to_string(ctx.num_inputs()));
             }
             for (const std::string& a : param_attrs) {
                 ctx.RequireFloatAttr(a);
             }
-            ctx.ExpectDType(0, DType::kFloat32);
-            ctx.ExpectDType(1, DType::kFloat32);
+            bool known = true;
+            for (int i = 0; i < arity; ++i) {
+                ctx.ExpectDType(i, DType::kFloat32);
+                known = known && ctx.KnownShape(i);
+            }
             TypeInfo out = TypeInfo::OfDType(DType::kFloat32);
-            if (ctx.KnownShape(0) && ctx.KnownShape(1)) {
+            if (known) {
                 try {
-                    out = TypeInfo::Of(
-                        DType::kFloat32,
-                        graph::verify::BroadcastShapes(
-                            ctx.input(0).shape, ctx.input(1).shape));
+                    Shape shape = ctx.input(0).shape;
+                    for (int i = 1; i < arity; ++i) {
+                        shape = graph::verify::BroadcastShapes(
+                            shape, ctx.input(i).shape);
+                    }
+                    out = TypeInfo::Of(DType::kFloat32, shape);
                 } catch (const std::exception& e) {
                     ctx.Fail(e.what());
                 }
             }
             ctx.set_output(0, out);
         });
-}
-
-/** Shape fn shared by the float unaries: output mirrors the input. */
-void
-RegisterUnaryShapeFn(const std::string& name,
-                     std::vector<std::string> param_attrs)
-{
-    ShapeFnRegistry::Global().Register(
-        name, [param_attrs](InferenceContext& ctx) {
-            if (ctx.num_inputs() != 1) {
-                ctx.Fail("expected 1 input, got " +
-                         std::to_string(ctx.num_inputs()));
-            }
-            for (const std::string& a : param_attrs) {
-                ctx.RequireFloatAttr(a);
-            }
-            ctx.ExpectDType(0, DType::kFloat32);
-            TypeInfo out = TypeInfo::OfDType(DType::kFloat32);
-            if (ctx.KnownShape(0)) {
-                out.has_shape = true;
-                out.shape = ctx.input(0).shape;
-            }
-            ctx.set_output(0, out);
-        });
-}
-
-// Scalar kernels shared verbatim between the standalone op kernels and
-// the FusedElementwise kernel (via the fusion-stage registry): fusion
-// replays exactly these functions per element, which is what makes
-// fused results bit-identical to the unfused chain. The const float*
-// parameter carries static attr values (e.g. Pow's exponent).
-float AddS(float a, float b, const float*) { return a + b; }
-float SubS(float a, float b, const float*) { return a - b; }
-float MulS(float a, float b, const float*) { return a * b; }
-float DivS(float a, float b, const float*) { return a / b; }
-float NegS(float x, const float*) { return -x; }
-float ExpS(float x, const float*) { return std::exp(x); }
-float LogS(float x, const float*) { return std::log(x); }
-float SqrtS(float x, const float*) { return std::sqrt(x); }
-float SquareS(float x, const float*) { return x * x; }
-float ReluS(float x, const float*) { return x > 0.0f ? x : 0.0f; }
-float SigmoidS(float x, const float*) { return 1.0f / (1.0f + std::exp(-x)); }
-float TanhS(float x, const float*) { return std::tanh(x); }
-float PowS(float x, const float* p) { return std::pow(x, p[0]); }
-float ClipS(float x, const float* p)
-{
-    return x < p[0] ? p[0] : (x > p[1] ? p[1] : x);
-}
-float ReluGradS(float g, float x, const float*) { return x > 0.0f ? g : 0.0f; }
-float SigmoidGradS(float g, float y, const float*)
-{
-    return g * y * (1.0f - y);
-}
-float TanhGradS(float g, float y, const float*)
-{
-    return g * (1.0f - y * y);
-}
-float ClipGradS(float g, float x, const float* p)
-{
-    return (x >= p[0] && x <= p[1]) ? g : 0.0f;
 }
 
 /** Reads @p attrs off the node into a flat param vector. */
@@ -140,54 +87,42 @@ AttrParams(OpContext& ctx, const std::vector<std::string>& attrs)
 }
 
 /**
- * Registers a broadcasting binary op and its fusion stage. All
- * elementwise ops support in-place output into input 0 when granted.
+ * Registers an elementwise op on scalar function @p Fn (a unary, or a
+ * broadcasting binary) and its fusion stage. All elementwise ops
+ * support in-place output into input 0 when granted.
  */
+template <auto Fn>
 void
-RegisterBinary(const std::string& name,
-               float (*fn)(float, float, const float*),
-               double flops_per_elem,
-               std::vector<std::string> param_attrs = {})
+RegisterElementwise(const std::string& name, double flops_per_elem,
+                    std::vector<std::string> param_attrs = {})
 {
+    constexpr bool kBinary =
+        std::is_same_v<decltype(Fn), kernels::BinaryScalar>;
     OpRegistry::Global().Register(OpDef{
         name, OpClass::kElementwise,
-        [fn, param_attrs](OpContext& ctx) {
+        [param_attrs](OpContext& ctx) {
             const std::vector<float> params = AttrParams(ctx, param_attrs);
-            const float* p = params.data();
-            ctx.set_output(
-                0, kernels::BinaryMap(
-                       ctx.input(0), ctx.input(1),
-                       [fn, p](float a, float b) { return fn(a, b, p); },
-                       ctx.pool(), ctx.may_alias_input()));
+            const kernels::BindParams<Fn> fn{params.data()};
+            if constexpr (kBinary) {
+                ctx.set_output(0, kernels::BinaryMap(
+                                      ctx.input(0), ctx.input(1), fn,
+                                      ctx.pool(), ctx.may_alias_input()));
+            } else {
+                ctx.set_output(0, kernels::UnaryMap(ctx.input(0), fn,
+                                                    ctx.pool(),
+                                                    ctx.may_alias_input()));
+            }
         },
         ElementwiseCost(flops_per_elem), false, /*supports_inplace=*/true});
-    RegisterBinaryShapeFn(name, param_attrs);
-    FusionStageRegistry::Global().Register(
-        name, FusionStage{2, nullptr, fn, std::move(param_attrs),
-                          flops_per_elem});
-}
-
-/** Registers a unary op and its fusion stage. */
-void
-RegisterUnary(const std::string& name, float (*fn)(float, const float*),
-              double flops_per_elem,
-              std::vector<std::string> param_attrs = {})
-{
-    OpRegistry::Global().Register(OpDef{
-        name, OpClass::kElementwise,
-        [fn, param_attrs](OpContext& ctx) {
-            const std::vector<float> params = AttrParams(ctx, param_attrs);
-            const float* p = params.data();
-            ctx.set_output(0, kernels::UnaryMap(
-                                  ctx.input(0),
-                                  [fn, p](float x) { return fn(x, p); },
-                                  ctx.pool(), ctx.may_alias_input()));
-        },
-        ElementwiseCost(flops_per_elem), false, /*supports_inplace=*/true});
-    RegisterUnaryShapeFn(name, param_attrs);
-    FusionStageRegistry::Global().Register(
-        name, FusionStage{1, fn, nullptr, std::move(param_attrs),
-                          flops_per_elem});
+    RegisterElementwiseShapeFn(name, kBinary ? 2 : 1, param_attrs);
+    FusionStage stage{kBinary ? 2 : 1, nullptr, nullptr,
+                      std::move(param_attrs), flops_per_elem};
+    if constexpr (kBinary) {
+        stage.binary = Fn;
+    } else {
+        stage.unary = Fn;
+    }
+    FusionStageRegistry::Global().Register(name, std::move(stage));
 }
 
 /** Reduces @p grad to the broadcast-input's shape. */
@@ -205,41 +140,40 @@ RegisterMathOps()
     OpRegistry& ops = OpRegistry::Global();
     GradientRegistry& grads = GradientRegistry::Global();
 
-    RegisterBinary("Add", AddS, 1.0);
-    RegisterBinary("Sub", SubS, 1.0);
-    RegisterBinary("Mul", MulS, 1.0);
-    RegisterBinary("Div", DivS, 4.0);
+    RegisterElementwise<kernels::AddS>("Add", 1.0);
+    RegisterElementwise<kernels::SubS>("Sub", 1.0);
+    RegisterElementwise<kernels::MulS>("Mul", 1.0);
+    RegisterElementwise<kernels::DivS>("Div", 4.0);
 
-    RegisterUnary("Neg", NegS, 1.0);
-    RegisterUnary("Exp", ExpS, 10.0);
-    RegisterUnary("Log", LogS, 10.0);
-    RegisterUnary("Sqrt", SqrtS, 4.0);
-    RegisterUnary("Square", SquareS, 1.0);
-    RegisterUnary("Relu", ReluS, 1.0);
-    RegisterUnary("Sigmoid", SigmoidS, 12.0);
-    RegisterUnary("Tanh", TanhS, 12.0);
+    RegisterElementwise<kernels::NegS>("Neg", 1.0);
+    RegisterElementwise<kernels::ExpS>("Exp", 10.0);
+    RegisterElementwise<kernels::LogS>("Log", 10.0);
+    RegisterElementwise<kernels::SqrtS>("Sqrt", 4.0);
+    RegisterElementwise<kernels::SquareS>("Square", 1.0);
+    RegisterElementwise<kernels::ReluS>("Relu", 1.0);
+    RegisterElementwise<kernels::SigmoidS>("Sigmoid", 12.0);
+    RegisterElementwise<kernels::TanhS>("Tanh", 12.0);
 
-    RegisterUnary("Pow", PowS, 20.0, {"exponent"});
-    RegisterUnary("ClipByValue", ClipS, 2.0, {"clip_min", "clip_max"});
+    RegisterElementwise<kernels::PowS>("Pow", 20.0, {"exponent"});
+    RegisterElementwise<kernels::ClipS>("ClipByValue", 2.0,
+                                        {"clip_min", "clip_max"});
 
     ops.Register(OpDef{
         "AddN", OpClass::kElementwise,
         [](OpContext& ctx) {
-            // In place the accumulator IS input 0 (whose buffer dies
-            // here); otherwise it starts as a copy — same values.
-            const bool alias = ctx.may_alias_input() &&
-                               ctx.input(0).dtype() == DType::kFloat32;
-            Tensor acc = alias ? ctx.input(0) : ctx.input(0).Clone();
-            float* a = acc.data<float>();
-            const std::int64_t n = acc.num_elements();
+            // The sum starts in input 0's buffer when it may be reused
+            // (its value dies here), else in a new one; either way the
+            // same additions in the same order.
+            Tensor acc = ctx.num_inputs() == 1 && !ctx.may_alias_input()
+                             ? ctx.input(0).Clone()
+                             : ctx.input(0);
             for (int i = 1; i < ctx.num_inputs(); ++i) {
                 if (ctx.input(i).shape() != acc.shape()) {
                     throw std::invalid_argument("AddN: shape mismatch");
                 }
-                const float* x = ctx.input(i).data<float>();
-                for (std::int64_t k = 0; k < n; ++k) {
-                    a[k] += x[k];
-                }
+                acc = kernels::BinaryMap(
+                    acc, ctx.input(i), kernels::BindParams<kernels::AddS>{},
+                    ctx.pool(), i > 1 || ctx.may_alias_input());
             }
             ctx.set_output(0, std::move(acc));
         },
@@ -262,11 +196,11 @@ RegisterMathOps()
 
     // Gradient helper ops (elementwise, appear in backward profiles).
     // inputs: (grad, x) / (grad, y = forward output).
-    RegisterBinary("ReluGrad", ReluGradS, 1.0);
-    RegisterBinary("SigmoidGrad", SigmoidGradS, 3.0);
-    RegisterBinary("TanhGrad", TanhGradS, 3.0);
-    RegisterBinary("ClipByValueGrad", ClipGradS, 2.0,
-                   {"clip_min", "clip_max"});
+    RegisterElementwise<kernels::ReluGradS>("ReluGrad", 1.0);
+    RegisterElementwise<kernels::SigmoidGradS>("SigmoidGrad", 3.0);
+    RegisterElementwise<kernels::TanhGradS>("TanhGrad", 3.0);
+    RegisterElementwise<kernels::ClipGradS>("ClipByValueGrad", 2.0,
+                                            {"clip_min", "clip_max"});
 
     // The adjoint of broadcasting: reduce grad down to ref's shape.
     ops.Register(OpDef{

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "kernels/conv2d.h"
 #include "kernels/elementwise.h"
 #include "kernels/matmul.h"
+#include "kernels/pooling.h"
 #include "kernels/reduction.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
@@ -114,6 +117,68 @@ TEST(EdgeCaseTest, BroadcastScalarAgainstEmpty)
     const Tensor out = kernels::BinaryMap(
         scalar, empty, [](float a, float b) { return a + b; }, Pool());
     EXPECT_EQ(out.shape(), Shape({0, 4}));
+}
+
+TEST(EdgeCaseTest, ReduceMaxPropagatesNaN)
+{
+    // As in NumPy and TF: a NaN anywhere in the reduced slice wins,
+    // whether it comes before or after the maximum.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const Tensor t =
+        Tensor::FromVector(Shape{3, 3}, {1.0f, nan, 5.0f,   //
+                                         nan, 7.0f, -2.0f,  //
+                                         3.0f, 4.0f, 2.0f});
+    const Tensor rows =
+        kernels::Reduce(t, kernels::ReduceOp::kMax, {1}, false, Pool());
+    EXPECT_TRUE(std::isnan(rows.data<float>()[0]));
+    EXPECT_TRUE(std::isnan(rows.data<float>()[1]));
+    EXPECT_EQ(rows.data<float>()[2], 4.0f);
+    const Tensor all =
+        kernels::Reduce(t, kernels::ReduceOp::kMax, {}, false, Pool());
+    EXPECT_TRUE(std::isnan(all.scalar_value()));
+}
+
+TEST(EdgeCaseTest, MaxPoolPropagatesNaNAndRoutesItsGradient)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    // One 2x2 window per channel: channel 0 holds a NaN after its
+    // maximum, channel 1 none.
+    const Tensor x = Tensor::FromVector(
+        Shape{1, 2, 2, 2}, {9.0f, 1.0f, nan, 6.0f, 3.0f, 2.0f, 4.0f, 8.0f});
+    const Tensor y =
+        kernels::MaxPool(x, 2, 2, kernels::Padding::kValid, Pool());
+    EXPECT_TRUE(std::isnan(y.data<float>()[0]));
+    EXPECT_EQ(y.data<float>()[1], 8.0f);
+
+    // The gradient goes to the element the forward pass selected: the
+    // NaN in channel 0, the 8 in channel 1.
+    const Tensor g = Tensor::FromVector(Shape{1, 1, 1, 2}, {10.0f, 20.0f});
+    const Tensor gx = kernels::MaxPoolGrad(x, g, 2, 2,
+                                           kernels::Padding::kValid, Pool());
+    const std::vector<float> want = {0.0f, 0.0f, 10.0f, 0.0f,
+                                     0.0f, 0.0f, 0.0f,  20.0f};
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(gx.data<float>()[i], want[i]) << i;
+    }
+}
+
+TEST(EdgeCaseTest, MaxPoolGradRoutesAllNegativeInfinityWindow)
+{
+    // Every element is -inf, so the forward output is the first one's
+    // value; its gradient must not vanish.
+    const float inf = std::numeric_limits<float>::infinity();
+    const Tensor x = Tensor::FromVector(Shape{1, 2, 2, 1},
+                                        {-inf, -inf, -inf, -inf});
+    const Tensor y =
+        kernels::MaxPool(x, 2, 2, kernels::Padding::kValid, Pool());
+    EXPECT_EQ(y.data<float>()[0], -inf);
+    const Tensor gx = kernels::MaxPoolGrad(
+        x, Tensor::FromVector(Shape{1, 1, 1, 1}, {3.0f}), 2, 2,
+        kernels::Padding::kValid, Pool());
+    EXPECT_EQ(gx.data<float>()[0], 3.0f);
+    EXPECT_EQ(gx.data<float>()[1] + gx.data<float>()[2] +
+                  gx.data<float>()[3],
+              0.0f);
 }
 
 class EdgeRuntimeTest : public ::testing::Test {
