@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 

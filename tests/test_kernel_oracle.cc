@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
