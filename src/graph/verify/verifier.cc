@@ -67,15 +67,12 @@ class Verifier {
         TopologicalSort();
         InferTypes();
         CheckFetches();
-        if (options_.check_determinism) {
-            LintDeterminism();
-        }
-        if (options_.check_inplace && plan_ != nullptr &&
-            plan_->order != nullptr && plan_->inplace != nullptr) {
+        LintDeterminism();
+        if (plan_ != nullptr && plan_->order != nullptr &&
+            plan_->inplace != nullptr) {
             LintInPlace();
         }
-        if (options_.check_liveness && plan_ != nullptr &&
-            plan_->order != nullptr) {
+        if (plan_ != nullptr && plan_->order != nullptr) {
             LintLiveness();
         }
         report_.nodes_checked = static_cast<int>(order_.size());
@@ -567,7 +564,7 @@ class Verifier {
      * producer lists, consumer counts, and early-release eligibility —
      * independently from the resolved data edges, and compares them to
      * what the planner resolved (mirrors the derivation in
-     * Session::GetPlan).
+     * runtime::BuildPlan, shared by Session and FrozenPlan).
      */
     void
     LintLiveness()

@@ -96,20 +96,17 @@ struct VerifyOptions {
      * plan must be reentrant and side-effect-free).
      */
     bool frozen = false;
-
-    bool check_inplace = true;      ///< aliasing-safety lint.
-    bool check_liveness = true;     ///< memory-planner consistency lint.
-    bool check_determinism = true;  ///< stateful/rewrite purity lint.
 };
 
 /**
- * Facts about a built execution plan (from Session::GetPlan or a
- * RewriteResult), lent to Verify() for the semantic lints. All
- * pointers are borrowed and may be null except `order`; the per-step
- * vectors are parallel to `order`.
+ * Facts about a built execution plan (runtime::FactsOf over the shared
+ * runtime::BuildPlan output, or a RewriteResult), lent to Verify() for
+ * the semantic lints. All pointers are borrowed and may be null except
+ * `order`; the per-step vectors are parallel to `order`.
  */
 struct PlanFacts {
-    /** Live execution order (post-rewrite surviving steps). */
+    /** Live execution order: a built plan's kernel steps, or a
+        rewrite's surviving nodes. */
     const std::vector<NodeId>* order = nullptr;
     /** Path-compressed edge redirection (CSE/folding). */
     const std::unordered_map<NodeId, NodeId>* replacements = nullptr;

@@ -2,12 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <sstream>
-#include <stdexcept>
-#include <unordered_set>
 
 #include "graph/verify/verifier.h"
 #include "telemetry/metrics.h"
@@ -35,19 +30,12 @@ MicrosSince(Clock::time_point start)
 }
 
 /**
- * Executor metrics, resolved once. `steps` / `ops_executed` are
- * scheduling-invariant (the determinism tests compare them across
- * inter-op widths); the queue/worker signals are genuinely
- * scheduling-dependent and exist to expose it.
+ * Session step metrics, resolved once. Scheduling-invariant: the
+ * determinism tests compare them across inter-op widths.
  */
 struct SessionMetrics {
     telemetry::Counter& steps;
     telemetry::Counter& ops_executed;
-    telemetry::Counter& inplace_applied;
-    telemetry::Counter& parallel_steps;
-    telemetry::Counter& worker_busy_us;
-    telemetry::Counter& worker_idle_us;
-    telemetry::Histogram& ready_queue_depth;
     telemetry::Histogram& step_us;
 
     static SessionMetrics&
@@ -58,11 +46,6 @@ struct SessionMetrics {
             return new SessionMetrics{
                 r.GetCounter("session.steps"),
                 r.GetCounter("session.ops_executed"),
-                r.GetCounter("rewrite.inplace_applied"),
-                r.GetCounter("executor.parallel_steps"),
-                r.GetCounter("executor.worker_busy_us"),
-                r.GetCounter("executor.worker_idle_us"),
-                r.GetHistogram("executor.ready_queue_depth"),
                 r.GetHistogram("session.step_us"),
             };
         }();
@@ -93,7 +76,7 @@ Session::SetInterOpThreads(int threads)
             : nullptr;
 }
 
-const Session::Plan&
+const ExecutionPlan&
 Session::GetPlan(const FeedMap& feeds, const std::vector<graph::Output>& fetches,
                  const std::vector<graph::NodeId>& targets)
 {
@@ -118,17 +101,8 @@ Session::GetPlan(const FeedMap& feeds, const std::vector<graph::Output>& fetches
     if (it != plan_cache_.end()) {
         return it->second;
     }
-    std::vector<graph::NodeId> roots;
-    roots.reserve(fetches.size() + targets.size());
-    for (const auto& f : fetches) {
-        roots.push_back(f.node);
-    }
-    for (graph::NodeId t : targets) {
-        roots.push_back(t);
-    }
 
-    Plan plan;
-    std::vector<graph::NodeId> order;
+    graph::rewrite::RewriteResult rewritten;
     if (optimize_graphs_) {
         // The rewriter may append content-addressed "__rw/..." nodes to
         // the graph; they are unreachable from user-built roots, so
@@ -139,120 +113,18 @@ Session::GetPlan(const FeedMap& feeds, const std::vector<graph::Output>& fetches
         // rewriter's own post-condition; don't verify the plan twice.
         graph::rewrite::RewriteOptions ropts = rewrite_options_;
         ropts.verify = ropts.verify && !verify_graphs_;
-        auto rewritten = graph::rewrite::Rewrite(graph_, fetches, targets,
-                                                 variables_, ropts);
-        order = std::move(rewritten.order);
-        plan.replacements = std::move(rewritten.replacements);
-        plan.folded = std::move(rewritten.folded);
-        plan.inplace = std::move(rewritten.inplace);
+        rewritten = graph::rewrite::Rewrite(graph_, fetches, targets,
+                                            variables_, ropts);
     } else {
-        order = graph_.TopologicalOrder(roots);
-    }
-
-    // Resolve each node's op definition once at plan time: registry
-    // lookups are string-keyed and would otherwise run per op per step.
-    const graph::OpRegistry& registry = graph::OpRegistry::Global();
-    for (graph::NodeId id : order) {
-        const graph::Node& node = graph_.node(id);
-        const graph::OpDef* def = node.op_type == "Placeholder"
-                                      ? nullptr
-                                      : &registry.Lookup(node.op_type);
-        plan.steps.push_back({id, def});
-    }
-
-    // Dependency structure for the inter-op executor. Data and control
-    // edges become counter increments; stateful steps become barriers
-    // (they wait for everything earlier and gate everything later), so
-    // RNG draws and variable writes keep their sequential order.
-    const std::size_t n = plan.steps.size();
-    plan.dependents.assign(n, {});
-    plan.initial_pending.assign(n, 0);
-    std::unordered_map<graph::NodeId, std::int32_t> step_of;
-    step_of.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        step_of[plan.steps[i].node] = static_cast<std::int32_t>(i);
-    }
-    auto resolve = [&plan](graph::NodeId id) {
-        auto r = plan.replacements.find(id);
-        return r == plan.replacements.end() ? id : r->second;
-    };
-    std::int32_t prev_barrier = -1;
-    std::vector<std::int32_t> deps;
-    for (std::size_t i = 0; i < n; ++i) {
-        deps.clear();
-        const graph::Node& node = graph_.node(plan.steps[i].node);
-        for (const graph::Output& in : node.inputs) {
-            auto d = step_of.find(resolve(in.node));
-            if (d != step_of.end()) {  // absent = folded, already valued.
-                deps.push_back(d->second);
-            }
+        std::vector<graph::NodeId> roots;
+        roots.reserve(fetches.size() + targets.size());
+        for (const auto& f : fetches) {
+            roots.push_back(f.node);
         }
-        for (graph::NodeId c : node.control_inputs) {
-            auto d = step_of.find(resolve(c));
-            if (d != step_of.end()) {
-                deps.push_back(d->second);
-            }
-        }
-        const bool barrier =
-            plan.steps[i].def != nullptr && plan.steps[i].def->stateful;
-        if (barrier) {
-            // Steps in (prev_barrier, i) already wait on prev_barrier,
-            // so edges from that range (plus prev_barrier itself, for
-            // back-to-back barriers) order this step after everything.
-            for (std::int32_t j = prev_barrier + 1;
-                 j < static_cast<std::int32_t>(i); ++j) {
-                deps.push_back(j);
-            }
-            if (prev_barrier >= 0) {
-                deps.push_back(prev_barrier);
-            }
-            prev_barrier = static_cast<std::int32_t>(i);
-        } else if (prev_barrier >= 0) {
-            deps.push_back(prev_barrier);
-        }
-        std::sort(deps.begin(), deps.end());
-        deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-        plan.initial_pending[i] = static_cast<std::int32_t>(deps.size());
-        for (std::int32_t d : deps) {
-            plan.dependents[static_cast<std::size_t>(d)].push_back(
-                static_cast<std::int32_t>(i));
-        }
+        roots.insert(roots.end(), targets.begin(), targets.end());
+        rewritten.order = graph_.TopologicalOrder(roots);
     }
-
-    // Liveness structure for the memory planner: which producer steps
-    // each step reads (data edges only — control edges order execution
-    // but never read a value), and how many consumer steps must finish
-    // before a producer's outputs are dead. Fetched nodes, feeds,
-    // Variable/Const reads, and stateful ops are exempt from early
-    // release; everything else dies at its last consumer.
-    std::unordered_set<graph::NodeId> fetched;
-    fetched.reserve(fetches.size());
-    for (const auto& f : fetches) {
-        fetched.insert(resolve(f.node));
-    }
-    plan.input_producers.assign(n, {});
-    plan.consumer_count.assign(n, 0);
-    plan.releasable.assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const graph::Node& node = graph_.node(plan.steps[i].node);
-        plan.releasable[i] =
-            plan.steps[i].def != nullptr && !plan.steps[i].def->stateful &&
-            node.op_type != "Variable" && node.op_type != "Const" &&
-            fetched.count(plan.steps[i].node) == 0;
-        auto& producers = plan.input_producers[i];
-        for (const graph::Output& in : node.inputs) {
-            auto d = step_of.find(resolve(in.node));
-            if (d != step_of.end()) {  // absent = folded, plan-owned.
-                producers.push_back(d->second);
-            }
-        }
-        std::sort(producers.begin(), producers.end());
-        producers.erase(std::unique(producers.begin(), producers.end()),
-                        producers.end());
-        for (std::int32_t p : producers) {
-            ++plan.consumer_count[static_cast<std::size_t>(p)];
-        }
-    }
+    ExecutionPlan plan = BuildPlan(graph_, std::move(rewritten), fetches);
 
     // Static verification of the freshly built plan: structure, types
     // (seeded from this step's feed tensors), and the aliasing/
@@ -265,295 +137,19 @@ Session::GetPlan(const FeedMap& feeds, const std::vector<graph::Output>& fetches
             vopts.feed_types[id] =
                 graph::verify::TypeInfo::Of(value.dtype(), value.shape());
         }
-        graph::verify::PlanFacts facts;
-        facts.order = &order;
-        facts.replacements = &plan.replacements;
-        facts.folded = &plan.folded;
-        facts.inplace = plan.inplace.empty() ? nullptr : &plan.inplace;
-        facts.consumer_count = &plan.consumer_count;
-        facts.input_producers = &plan.input_producers;
-        facts.releasable = &plan.releasable;
+        const graph::verify::PlanFacts facts = FactsOf(plan);
         graph::verify::VerifyOrThrow(graph_, fetches, targets, vopts,
                                      &facts);
     }
 
-    auto [inserted, ok] = plan_cache_.emplace(key.str(), std::move(plan));
-    (void)ok;
-    return inserted->second;
-}
-
-void
-Session::RunPlanStep(const Plan& plan, std::size_t seq, const FeedMap& feeds,
-                     std::vector<std::vector<Tensor>>& values, int worker)
-{
-    const PlanStep& step = plan.steps[seq];
-    const graph::NodeId id = step.node;
-    const graph::Node& node = graph_.node(id);
-
-    if (step.def == nullptr) {  // Placeholder.
-        auto fed = feeds.find(id);
-        if (fed == feeds.end()) {
-            throw std::invalid_argument(
-                "Session::Run: placeholder '" + node.name + "' not fed");
-        }
-        values[static_cast<std::size_t>(id)] = {fed->second};
-        return;
-    }
-
-    auto resolve = [&plan](graph::NodeId in) {
-        auto it = plan.replacements.find(in);
-        return it == plan.replacements.end() ? in : it->second;
-    };
-
-    std::vector<Tensor> inputs;
-    inputs.reserve(node.inputs.size());
-    for (const graph::Output& in : node.inputs) {
-        const auto& produced =
-            values[static_cast<std::size_t>(resolve(in.node))];
-        if (static_cast<std::size_t>(in.index) >= produced.size() ||
-            !produced[static_cast<std::size_t>(in.index)].initialized()) {
-            throw std::logic_error("Session::Run: node '" + node.name +
-                                   "' input from '" +
-                                   graph_.node(in.node).name +
-                                   "' was not produced");
-        }
-        inputs.push_back(produced[static_cast<std::size_t>(in.index)]);
-    }
-
-    const graph::OpDef& def = *step.def;
-    graph::OpContext ctx(node, &inputs, *pool_, rng_, variables_);
-
-    // In-place grant: the rewrite proved input 0 statically dies at this
-    // step; the refcount check (values entry + our gathered copy = 2)
-    // rejects anything the static proof cannot see — folded constants,
-    // view-shared buffers, planner-off fetch retention.
-    if (!plan.inplace.empty() && plan.inplace[seq] && !inputs.empty() &&
-        inputs[0].initialized() && inputs[0].buffer_use_count() == 2) {
-        ctx.set_may_alias_input(true);
-        if (telemetry::MetricsEnabled()) {
-            SessionMetrics::Get().inplace_applied.Add(1);
-        }
-    }
-
-    // Timestamps are only taken when tracing: the traced-off hot path
-    // must stay inside the bench_telemetry overhead budget.
-    const bool traced = tracer_.enabled();
-    const auto op_start = traced ? Clock::now() : Clock::time_point{};
-    try {
-        def.kernel(ctx);
-    } catch (const std::exception& e) {
-        throw std::runtime_error("Session::Run: op '" + node.name + "' (" +
-                                 node.op_type + ") failed: " + e.what());
-    }
-
-    if (traced) {
-        OpExecRecord record;
-        record.node = id;
-        record.op_type = node.op_type;
-        record.op_class = def.op_class;
-        record.wall_seconds = SecondsSince(op_start);
-        record.start_seconds =
-            std::chrono::duration<double>(op_start - step_epoch_).count();
-        record.worker = worker;
-        record.seq = static_cast<std::int64_t>(seq);
-        if (def.cost) {
-            record.cost = def.cost(node, inputs, ctx.outputs());
-        } else {
-            // Default: bytes-only cost from the outputs.
-            graph::OpCost cost;
-            for (const Tensor& out : ctx.outputs()) {
-                if (out.initialized()) {
-                    cost.bytes += static_cast<double>(out.byte_size());
-                }
-            }
-            record.cost = cost;
-        }
-        tracer_.Record(std::move(record));
-    }
-
-    values[static_cast<std::size_t>(id)] = std::move(ctx.outputs());
-}
-
-void
-Session::ReleaseDeadValues(const Plan& plan, std::size_t seq,
-                           std::atomic<std::int32_t>* remaining,
-                           std::vector<std::vector<Tensor>>& values)
-{
-    if (remaining == nullptr) {  // planner disabled for this run.
-        return;
-    }
-    // A step nothing reads (e.g. a run-only target) dies on completion.
-    if (plan.releasable[seq] && plan.consumer_count[seq] == 0) {
-        values[static_cast<std::size_t>(plan.steps[seq].node)].clear();
-    }
-    for (std::int32_t p : plan.input_producers[seq]) {
-        const auto ps = static_cast<std::size_t>(p);
-        // acq_rel: the thread that takes the count to zero observes
-        // every other consumer's reads as already done, so the clear
-        // below cannot race a concurrent input gather. Buffers shared
-        // into still-live tensors (views, Identity outputs) survive the
-        // clear via their own shared_ptr refs.
-        if (remaining[ps].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-            plan.releasable[ps]) {
-            values[static_cast<std::size_t>(plan.steps[ps].node)].clear();
-        }
-    }
-}
-
-void
-Session::RunParallel(const Plan& plan, const FeedMap& feeds,
-                     std::atomic<std::int32_t>* remaining,
-                     std::vector<std::vector<Tensor>>& values)
-{
-    const std::size_t total = plan.steps.size();
-    if (total == 0) {
-        return;
-    }
-
-    struct ExecState {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::deque<std::int32_t> ready;
-        std::vector<std::int32_t> pending;
-        std::size_t active = 0;     ///< steps currently executing.
-        std::size_t completed = 0;  ///< steps finished (ok or not).
-        bool stopped = false;       ///< error seen; start nothing new.
-        std::size_t error_seq = SIZE_MAX;
-        std::exception_ptr error;
-    };
-    ExecState state;
-    state.pending = plan.initial_pending;
-    for (std::size_t i = 0; i < total; ++i) {
-        if (state.pending[i] == 0) {
-            state.ready.push_back(static_cast<std::int32_t>(i));
-        }
-    }
-
-    // Each drain loop claims ready steps until the step completes or an
-    // error stops the schedule; in-flight steps always finish, so the
-    // step ends cleanly even on failure. Among concurrently failing
-    // steps, the lowest plan sequence wins, keeping the surfaced error
-    // deterministic. The loop's lane index becomes the worker id on
-    // trace records, and — when metrics are on — the loop accounts its
-    // own busy/idle split and samples the ready-queue depth at each
-    // claim.
-    auto drain = [this, &plan, &feeds, &values, &state, remaining,
-                  total](int lane) {
-        const bool metered = telemetry::MetricsEnabled();
-        std::uint64_t busy_us = 0;
-        std::uint64_t idle_us = 0;
-        for (;;) {
-            std::int32_t seq = -1;
-            {
-                const auto wait_start =
-                    metered ? Clock::now() : Clock::time_point{};
-                std::unique_lock<std::mutex> lock(state.mu);
-                state.cv.wait(lock, [&state, total] {
-                    return state.stopped || !state.ready.empty() ||
-                           (state.active == 0 && state.completed == total);
-                });
-                if (metered) {
-                    idle_us += MicrosSince(wait_start);
-                }
-                if (state.stopped || state.ready.empty()) {
-                    if (metered) {
-                        SessionMetrics& sm = SessionMetrics::Get();
-                        sm.worker_busy_us.Add(busy_us);
-                        sm.worker_idle_us.Add(idle_us);
-                    }
-                    return;
-                }
-                if (metered) {
-                    SessionMetrics::Get().ready_queue_depth.Observe(
-                        state.ready.size());
-                }
-                seq = state.ready.front();
-                state.ready.pop_front();
-                ++state.active;
-            }
-            const auto run_start =
-                metered ? Clock::now() : Clock::time_point{};
-            std::exception_ptr err;
-            try {
-                RunPlanStep(plan, static_cast<std::size_t>(seq), feeds,
-                            values, lane);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            if (metered) {
-                busy_us += MicrosSince(run_start);
-            }
-            if (!err) {
-                ReleaseDeadValues(plan, static_cast<std::size_t>(seq),
-                                  remaining, values);
-            }
-            {
-                std::lock_guard<std::mutex> lock(state.mu);
-                --state.active;
-                ++state.completed;
-                if (err) {
-                    state.stopped = true;
-                    if (static_cast<std::size_t>(seq) < state.error_seq) {
-                        state.error_seq = static_cast<std::size_t>(seq);
-                        state.error = err;
-                    }
-                } else if (!state.stopped) {
-                    for (std::int32_t d :
-                         plan.dependents[static_cast<std::size_t>(seq)]) {
-                        if (--state.pending[static_cast<std::size_t>(d)] ==
-                            0) {
-                            state.ready.push_back(d);
-                        }
-                    }
-                }
-            }
-            state.cv.notify_all();
-        }
-    };
-
-    const std::size_t width = std::min(
-        static_cast<std::size_t>(inter_op_threads_), total);
-    std::vector<std::function<void()>> loops;
-    loops.reserve(width);
-    for (std::size_t lane = 0; lane < width; ++lane) {
-        loops.push_back([&drain, lane] { drain(static_cast<int>(lane)); });
-    }
-    inter_op_pool_->RunTasks(std::move(loops));
-
-    if (state.error) {
-        std::rethrow_exception(state.error);
-    }
+    return plan_cache_.emplace(key.str(), std::move(plan)).first->second;
 }
 
 std::vector<Tensor>
 Session::Run(const FeedMap& feeds, const std::vector<graph::Output>& fetches,
              const std::vector<graph::NodeId>& targets)
 {
-    const auto& plan = GetPlan(feeds, fetches, targets);
-
-    std::vector<std::vector<Tensor>> values(
-        static_cast<std::size_t>(graph_.num_nodes()));
-    // Inject constant-folded results (empty unless optimization is on).
-    for (const auto& [id, outputs] : plan.folded) {
-        values[static_cast<std::size_t>(id)] = outputs;
-    }
-    // Edge redirection from CSE; identity when absent.
-    auto resolve = [&plan](graph::NodeId id) {
-        auto it = plan.replacements.find(id);
-        return it == plan.replacements.end() ? id : it->second;
-    };
-
-    // Memory planner: per-run outstanding-consumer counts, seeded from
-    // the plan's liveness analysis. Null when planning is off.
-    std::unique_ptr<std::atomic<std::int32_t>[]> remaining;
-    if (memory_planning_ && !plan.steps.empty()) {
-        remaining = std::make_unique<std::atomic<std::int32_t>[]>(
-            plan.steps.size());
-        for (std::size_t i = 0; i < plan.steps.size(); ++i) {
-            remaining[i].store(plan.consumer_count[i],
-                               std::memory_order_relaxed);
-        }
-    }
+    const ExecutionPlan& plan = GetPlan(feeds, fetches, targets);
 
     // Allocator activity is attributed to the step as counter deltas;
     // the peak is the pool-wide live-byte high-water mark while this
@@ -572,43 +168,26 @@ Session::Run(const FeedMap& feeds, const std::vector<graph::Output>& fetches,
         return m;
     };
 
-    const auto step_start = Clock::now();
-    step_epoch_ = step_start;
-    tracer_.BeginStep();
+    ExecutorContext context;
+    context.intra_op_pool = pool_.get();
+    context.rng = &rng_;
+    context.variables = &variables_;
+    context.inter_op_threads = inter_op_threads_;
+    context.inter_op_pool = inter_op_pool_.get();
+    context.memory_planning = memory_planning_;
+    context.tracer = &tracer_;
 
+    const auto step_start = Clock::now();
+    tracer_.BeginStep();
+    std::vector<Tensor> results;
     try {
-        if (inter_op_threads_ > 1) {
-            if (telemetry::MetricsEnabled()) {
-                SessionMetrics::Get().parallel_steps.Add(1);
-            }
-            RunParallel(plan, feeds, remaining.get(), values);
-        } else {
-            for (std::size_t seq = 0; seq < plan.steps.size(); ++seq) {
-                RunPlanStep(plan, seq, feeds, values, /*worker=*/0);
-                ReleaseDeadValues(plan, seq, remaining.get(), values);
-            }
-        }
+        results = Execute(plan, feeds, context);
     } catch (...) {
         tracer_.EndStep(SecondsSince(step_start), step_memory());
         throw;
     }
-
-    std::vector<Tensor> results;
-    results.reserve(fetches.size());
-    for (const graph::Output& f : fetches) {
-        const auto& produced =
-            values[static_cast<std::size_t>(resolve(f.node))];
-        if (static_cast<std::size_t>(f.index) >= produced.size() ||
-            !produced[static_cast<std::size_t>(f.index)].initialized()) {
-            tracer_.EndStep(SecondsSince(step_start), step_memory());
-            throw std::logic_error("Session::Run: fetch of '" +
-                                   graph_.node(f.node).name +
-                                   "' produced no value");
-        }
-        results.push_back(produced[static_cast<std::size_t>(f.index)]);
-    }
-
     tracer_.EndStep(SecondsSince(step_start), step_memory());
+
     if (telemetry::MetricsEnabled()) {
         SessionMetrics& sm = SessionMetrics::Get();
         sm.steps.Add(1);

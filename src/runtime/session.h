@@ -3,21 +3,20 @@
  * The execution engine: owns a graph, its state, and runs steps.
  *
  * Session mirrors TensorFlow's session: callers feed placeholder
- * values, name fetch edges and/or run-only targets, and the executor
- * runs the pruned subgraph in topological order. Operations are the
- * smallest schedulable unit and each execution is timed and costed for
- * the profiling tools.
+ * values, name fetch edges and/or run-only targets, and the shared
+ * executor (runtime/executor.h) runs the pruned subgraph in
+ * topological order. Session itself keeps only mutable training state:
+ * the plan cache, variables, the RNG, the tracer's step boundaries and
+ * the `session.*` counters. Operations are the smallest schedulable
+ * unit and each execution is timed and costed for the profiling tools.
  */
 #ifndef FATHOM_RUNTIME_SESSION_H
 #define FATHOM_RUNTIME_SESSION_H
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -25,13 +24,11 @@
 #include "graph/op_registry.h"
 #include "graph/rewrite/rewrite.h"
 #include "parallel/thread_pool.h"
+#include "runtime/executor.h"
 #include "runtime/tracer.h"
 #include "tensor/rng.h"
 
 namespace fathom::runtime {
-
-/** Placeholder feeds for one step, keyed by node id. */
-using FeedMap = std::map<graph::NodeId, Tensor>;
 
 /**
  * Owns one model's graph, variables, RNG, thread pool, and trace.
@@ -90,7 +87,7 @@ class Session {
      * the inter-op executor composes) has finished — instead of keeping
      * every node's outputs alive until the end of the step. Freed
      * buffers return to the BufferPool for recycling. Fetched outputs,
-     * placeholders, `Variable`/`Const` reads, and stateful ops are
+     * fed placeholders, `Variable`/`Const` reads, and stateful ops are
      * never released early. Values are bit-identical either way: only
      * dead tensors are dropped, and buffer recycling is
      * refcount-driven.
@@ -141,8 +138,9 @@ class Session {
      * @param targets extra nodes to run without fetching (e.g. the
      *                optimizer update group).
      * @return the fetched tensors.
-     * @throws std::logic_error / std::invalid_argument on malformed
-     *         graphs, missing feeds, or kernel failures.
+     * @throws std::invalid_argument on a malformed graph or a missing
+     *         feed (before any kernel runs); std::runtime_error naming
+     *         the op on a kernel failure.
      */
     std::vector<Tensor> Run(const FeedMap& feeds,
                             const std::vector<graph::Output>& fetches,
@@ -155,80 +153,12 @@ class Session {
         const std::vector<graph::NodeId>& targets = {});
 
   private:
-    /** One plan entry: the node and its pre-resolved op definition. */
-    struct PlanStep {
-        graph::NodeId node;
-        const graph::OpDef* def;  ///< null for Placeholder nodes.
-    };
-
-    /** A cached, possibly optimized, execution plan. */
-    struct Plan {
-        std::vector<PlanStep> steps;
-        /** Rewrite edge redirection (empty when optimization is off). */
-        std::unordered_map<graph::NodeId, graph::NodeId> replacements;
-        /** Values pre-computed by constant folding. */
-        std::unordered_map<graph::NodeId, std::vector<Tensor>> folded;
-        /** Per step, whether the kernel may write into its first input
-            (statically proven to die here; the executor still verifies
-            the runtime refcount). Empty when optimization is off. */
-        std::vector<char> inplace;
-
-        // Dependency structure for the inter-op parallel executor,
-        // over plan indices. Stateful steps are barriers: they depend
-        // on every earlier step and every later step depends on them,
-        // which serializes RNG draws and variable writes in plan order
-        // (the determinism guarantee).
-        /** Per step, the steps unblocked by its completion. */
-        std::vector<std::vector<std::int32_t>> dependents;
-        /** Per step, how many dependencies must complete first. */
-        std::vector<std::int32_t> initial_pending;
-
-        // Liveness structure for the memory planner, over plan
-        // indices. A step's outputs die once `consumer_count` consumer
-        // steps have finished reading them; `releasable` excludes the
-        // exempt classes (fetches, placeholders, Variable/Const reads,
-        // stateful ops), whose values live to the end of the step.
-        /** Per step, the distinct producer steps of its data inputs. */
-        std::vector<std::vector<std::int32_t>> input_producers;
-        /** Per step, how many consumer steps read its outputs. */
-        std::vector<std::int32_t> consumer_count;
-        /** Per step, whether its outputs may be dropped when dead. */
-        std::vector<char> releasable;
-    };
-
-    /** Cached pruned topological plan for a fetch/target set. On a
-        cache miss the plan is statically verified (when enabled)
-        against @p feeds before being cached. */
-    const Plan& GetPlan(const FeedMap& feeds,
-                        const std::vector<graph::Output>& fetches,
-                        const std::vector<graph::NodeId>& targets);
-
-    /**
-     * Executes plan step @p seq (placeholder feed or kernel), tracing
-     * it (with its start offset from the step epoch and the executor
-     * lane @p worker that ran it) and storing its outputs into
-     * @p values. Thread-safe across distinct steps. Throws on missing
-     * feeds or kernel failure.
-     */
-    void RunPlanStep(const Plan& plan, std::size_t seq, const FeedMap& feeds,
-                     std::vector<std::vector<Tensor>>& values, int worker);
-
-    /**
-     * Memory-planner bookkeeping after step @p seq completed: credits
-     * the step's producers and drops any value whose last consumer has
-     * now run. @p remaining holds the per-step outstanding consumer
-     * counts; null disables the planner for this run. Thread-safe: the
-     * acq_rel refcount guarantees exactly one thread observes a value
-     * die, strictly after every consumer finished reading it.
-     */
-    static void ReleaseDeadValues(const Plan& plan, std::size_t seq,
-                                  std::atomic<std::int32_t>* remaining,
-                                  std::vector<std::vector<Tensor>>& values);
-
-    /** Drains the plan's ready queue across the inter-op pool. */
-    void RunParallel(const Plan& plan, const FeedMap& feeds,
-                     std::atomic<std::int32_t>* remaining,
-                     std::vector<std::vector<Tensor>>& values);
+    /** Cached pruned plan for a fetch/target set. On a cache miss the
+        plan is statically verified (when enabled) against @p feeds
+        before being cached. */
+    const ExecutionPlan& GetPlan(const FeedMap& feeds,
+                                 const std::vector<graph::Output>& fetches,
+                                 const std::vector<graph::NodeId>& targets);
 
     graph::Graph graph_;
     graph::VariableStore variables_;
@@ -237,14 +167,11 @@ class Session {
     int inter_op_threads_ = 1;
     std::unique_ptr<parallel::ThreadPool> inter_op_pool_;
     Tracer tracer_;
-    /** Start of the in-flight step; op record timestamps are relative
-        to this (written by Run, read by RunPlanStep on any lane). */
-    std::chrono::steady_clock::time_point step_epoch_;
     bool memory_planning_ = true;
     bool optimize_graphs_ = false;
     bool verify_graphs_ = true;
     graph::rewrite::RewriteOptions rewrite_options_;
-    std::map<std::string, Plan> plan_cache_;
+    std::map<std::string, ExecutionPlan> plan_cache_;
 };
 
 }  // namespace fathom::runtime

@@ -1,14 +1,9 @@
 #include "serving/frozen_plan.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "graph/verify/verifier.h"
 
@@ -143,74 +138,48 @@ FrozenPlan::Freeze(const runtime::Session& session,
         }
     }
 
-    plan->fetches_.reserve(signature.fetches.size());
+    std::vector<graph::Output> fetches;
+    fetches.reserve(signature.fetches.size());
     for (const graph::Output& f : signature.fetches) {
-        plan->fetches_.push_back({remap.at(f.node), f.index});
+        fetches.push_back({remap.at(f.node), f.index});
     }
 
     // Optional rewrite over the private copy. Weights are a frozen
     // snapshot here, so Variables fold exactly like Consts
     // (variables_as_constants): whole weight-only expressions are
     // evaluated once at freeze time instead of per request.
-    std::vector<graph::NodeId> frozen_order;
-    std::vector<char> inplace_by_order;
+    graph::rewrite::RewriteResult rewritten;
     if (options.optimize) {
         graph::rewrite::RewriteOptions ropts = options.rewrites;
         ropts.variables_as_constants = true;
         // The freeze-time verification below is stronger (TensorSpec
         // seeds, frozen-mode lint); skip the rewriter's own.
         ropts.verify = ropts.verify && !options.verify;
-        auto rewritten = graph::rewrite::Rewrite(
-            plan->graph_, plan->fetches_, /*targets=*/{}, snapshot, ropts);
-        frozen_order = std::move(rewritten.order);
-        inplace_by_order = std::move(rewritten.inplace);
-        plan->replacements_ = std::move(rewritten.replacements);
-        plan->folded_ = std::move(rewritten.folded);
+        rewritten = graph::rewrite::Rewrite(plan->graph_, fetches,
+                                            /*targets=*/{}, snapshot, ropts);
     } else {
         // The copy appended nodes in topological order, so ids
         // 0..n-1 ARE the execution order.
-        frozen_order.resize(static_cast<std::size_t>(plan->graph_.num_nodes()));
-        for (std::size_t i = 0; i < frozen_order.size(); ++i) {
-            frozen_order[i] = static_cast<graph::NodeId>(i);
+        rewritten.order.resize(
+            static_cast<std::size_t>(plan->graph_.num_nodes()));
+        for (std::size_t i = 0; i < rewritten.order.size(); ++i) {
+            rewritten.order[i] = static_cast<graph::NodeId>(i);
         }
-        inplace_by_order.assign(frozen_order.size(), 0);
     }
 
-    // Edge resolution through the (path-compressed) replacement map.
-    auto resolve = [&plan](graph::NodeId id) {
-        auto it = plan->replacements_.find(id);
-        return it == plan->replacements_.end() ? id : it->second;
-    };
-
-    // Build the executable steps from the final order. Placeholders
-    // are fed; surviving Variable/Const reads (folding off, or a
-    // pattern subset) bind their snapshot value; folded nodes carry
-    // their freeze-time value and need no step at all.
-    for (std::size_t oi = 0; oi < frozen_order.size(); ++oi) {
-        const graph::NodeId fid = frozen_order[oi];
-        if (plan->folded_.count(fid)) {
-            continue;
-        }
+    // Surviving Variable/Const reads (folding off, or a pattern subset)
+    // are pre-bound to their snapshot value: like folded nodes, they
+    // are already valued and need no step.
+    for (graph::NodeId fid : rewritten.order) {
         const graph::Node& node = plan->graph_.node(fid);
-        if (node.op_type == "Placeholder") {
-            continue;
+        if ((node.op_type == "Variable" || node.op_type == "Const") &&
+            rewritten.folded.count(fid) == 0) {
+            rewritten.folded[fid] = {
+                snapshot.Get(node.attr("var_name").AsString())};
         }
-        if (node.op_type == "Variable" || node.op_type == "Const") {
-            plan->prebound_.emplace_back(
-                fid, snapshot.Get(node.attr("var_name").AsString()));
-            continue;
-        }
-        Step step;
-        step.node = fid;
-        step.def = &registry.Lookup(node.op_type);
-        step.seq = static_cast<std::int32_t>(plan->steps_.size());
-        plan->steps_.push_back(step);
-        plan->step_inplace_.push_back(inplace_by_order[oi]);
     }
-
-    for (graph::Output& f : plan->fetches_) {
-        f.node = resolve(f.node);
-    }
+    plan->plan_ =
+        runtime::BuildPlan(plan->graph_, std::move(rewritten), fetches);
 
     // Static verification of the frozen executable: every request will
     // run this exact plan, so prove it once here. Placeholder types are
@@ -222,7 +191,6 @@ FrozenPlan::Freeze(const runtime::Session& session,
         graph::verify::VerifyOptions vopts;
         vopts.variables = &snapshot;
         vopts.frozen = true;
-        vopts.check_liveness = false;  // facts index steps, not order.
         const std::int64_t batch =
             signature.fixed_batch > 0 ? signature.fixed_batch : 1;
         for (const TensorSpec& spec : signature.inputs) {
@@ -230,68 +198,10 @@ FrozenPlan::Freeze(const runtime::Session& session,
                 graph::verify::TypeInfo::Of(
                     spec.dtype, BatchedShape(batch, spec.example_dims));
         }
-        graph::verify::PlanFacts facts;
-        facts.order = &frozen_order;
-        facts.replacements = &plan->replacements_;
-        facts.folded = &plan->folded_;
-        facts.inplace =
-            inplace_by_order.empty() ? nullptr : &inplace_by_order;
-        graph::verify::VerifyOrThrow(plan->graph_, plan->fetches_,
-                                     /*targets=*/{}, vopts, &facts);
+        const graph::verify::PlanFacts facts = runtime::FactsOf(plan->plan_);
+        graph::verify::VerifyOrThrow(plan->graph_, fetches, /*targets=*/{},
+                                     vopts, &facts);
     }
-
-    // Dependency + liveness structure over executable steps only
-    // (placeholder and prebound values exist before execution starts,
-    // so edges from them impose no ordering and hold no credit).
-    const std::size_t n = plan->steps_.size();
-    std::unordered_map<graph::NodeId, std::int32_t> step_of;
-    step_of.reserve(n);
-    for (const Step& s : plan->steps_) {
-        step_of[s.node] = s.seq;
-    }
-    std::unordered_set<graph::NodeId> fetched;
-    for (const graph::Output& f : plan->fetches_) {
-        fetched.insert(f.node);
-    }
-    plan->dependents_.assign(n, {});
-    plan->initial_pending_.assign(n, 0);
-    plan->input_producers_.assign(n, {});
-    plan->consumer_count_.assign(n, 0);
-    plan->releasable_.assign(n, 0);
-    std::vector<std::int32_t> deps;
-    for (std::size_t i = 0; i < n; ++i) {
-        const graph::Node& node = plan->graph_.node(plan->steps_[i].node);
-        plan->releasable_[i] = fetched.count(plan->steps_[i].node) == 0;
-        deps.clear();
-        auto& producers = plan->input_producers_[i];
-        for (const graph::Output& in : node.inputs) {
-            auto p = step_of.find(resolve(in.node));
-            if (p != step_of.end()) {
-                deps.push_back(p->second);
-                producers.push_back(p->second);
-            }
-        }
-        for (graph::NodeId c : node.control_inputs) {
-            auto p = step_of.find(resolve(c));
-            if (p != step_of.end()) {
-                deps.push_back(p->second);
-            }
-        }
-        std::sort(deps.begin(), deps.end());
-        deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-        plan->initial_pending_[i] = static_cast<std::int32_t>(deps.size());
-        for (std::int32_t d : deps) {
-            plan->dependents_[static_cast<std::size_t>(d)].push_back(
-                static_cast<std::int32_t>(i));
-        }
-        std::sort(producers.begin(), producers.end());
-        producers.erase(std::unique(producers.begin(), producers.end()),
-                        producers.end());
-        for (std::int32_t p : producers) {
-            ++plan->consumer_count_[static_cast<std::size_t>(p)];
-        }
-    }
-
     return plan;
 }
 
@@ -324,159 +234,15 @@ FrozenPlan::CheckFeed(const TensorSpec& spec, const Tensor& value,
 }
 
 void
-FrozenPlan::RunStep(std::size_t seq,
-                    std::vector<std::vector<Tensor>>& values) const
+FrozenPlan::CheckRequest(const RequestFeeds& request) const
 {
-    const Step& step = steps_[seq];
-    const graph::Node& node = graph_.node(step.node);
-
-    std::vector<Tensor> inputs;
-    inputs.reserve(node.inputs.size());
-    for (const graph::Output& in : node.inputs) {
-        auto rep = replacements_.find(in.node);
-        const graph::NodeId source =
-            rep == replacements_.end() ? in.node : rep->second;
-        const auto& produced = values[static_cast<std::size_t>(source)];
-        if (static_cast<std::size_t>(in.index) >= produced.size() ||
-            !produced[static_cast<std::size_t>(in.index)].initialized()) {
-            throw std::logic_error("FrozenPlan: node '" + node.name +
-                                   "' input from '" +
-                                   graph_.node(source).name +
-                                   "' was not produced");
+    for (const TensorSpec& spec : signature_.inputs) {
+        auto it = request.find(spec.name);
+        if (it == request.end()) {
+            throw std::invalid_argument("FrozenPlan: request missing input '" +
+                                        spec.name + "'");
         }
-        inputs.push_back(produced[static_cast<std::size_t>(in.index)]);
-    }
-
-    graph::OpContext ctx(node, &inputs, *intra_pool_, rng_,
-                         empty_variables_);
-    // In-place grant: the rewrite proved input 0 dies here; the
-    // use_count gate proves no other run, fold, prebound value, or
-    // view still holds the buffer (values slot + our gathered copy).
-    if (step_inplace_[seq] && !inputs.empty() && inputs[0].initialized() &&
-        inputs[0].buffer_use_count() == 2) {
-        ctx.set_may_alias_input(true);
-    }
-    try {
-        step.def->kernel(ctx);
-    } catch (const std::exception& e) {
-        throw std::runtime_error("FrozenPlan: op '" + node.name + "' (" +
-                                 node.op_type + ") failed: " + e.what());
-    }
-    values[static_cast<std::size_t>(step.node)] = std::move(ctx.outputs());
-}
-
-void
-FrozenPlan::ReleaseDead(std::size_t seq,
-                        std::atomic<std::int32_t>* remaining,
-                        std::vector<std::vector<Tensor>>& values) const
-{
-    // A step nothing reads dies on completion (there are no run-only
-    // targets in a frozen plan, but Group-style fan-ins fetch nothing).
-    if (releasable_[seq] && consumer_count_[seq] == 0) {
-        values[static_cast<std::size_t>(steps_[seq].node)].clear();
-    }
-    for (std::int32_t p : input_producers_[seq]) {
-        const auto ps = static_cast<std::size_t>(p);
-        // acq_rel: the consumer that takes the count to zero observes
-        // all other consumers' reads complete (see session.cc).
-        if (remaining[ps].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-            releasable_[ps]) {
-            values[static_cast<std::size_t>(steps_[ps].node)].clear();
-        }
-    }
-}
-
-void
-FrozenPlan::RunParallel(std::vector<std::vector<Tensor>>& values,
-                        std::atomic<std::int32_t>* remaining) const
-{
-    const std::size_t total = steps_.size();
-
-    struct ExecState {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::deque<std::int32_t> ready;
-        std::vector<std::int32_t> pending;
-        std::size_t active = 0;
-        std::size_t completed = 0;
-        bool stopped = false;
-        std::size_t error_seq = SIZE_MAX;
-        std::exception_ptr error;
-    };
-    ExecState state;
-    state.pending = initial_pending_;
-    for (std::size_t i = 0; i < total; ++i) {
-        if (state.pending[i] == 0) {
-            state.ready.push_back(static_cast<std::int32_t>(i));
-        }
-    }
-
-    // Same drain-loop shape as Session::RunParallel, with no barriers
-    // (stateful ops were rejected at freeze time): lanes claim ready
-    // steps until the plan completes or an error stops the schedule;
-    // among concurrently failing steps the lowest sequence wins, so
-    // the surfaced error is deterministic.
-    auto drain = [this, &values, &state, remaining, total] {
-        for (;;) {
-            std::int32_t seq = -1;
-            {
-                std::unique_lock<std::mutex> lock(state.mu);
-                state.cv.wait(lock, [&state, total] {
-                    return state.stopped || !state.ready.empty() ||
-                           (state.active == 0 && state.completed == total);
-                });
-                if (state.stopped || state.ready.empty()) {
-                    return;
-                }
-                seq = state.ready.front();
-                state.ready.pop_front();
-                ++state.active;
-            }
-            std::exception_ptr err;
-            try {
-                RunStep(static_cast<std::size_t>(seq), values);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            if (!err) {
-                ReleaseDead(static_cast<std::size_t>(seq), remaining,
-                            values);
-            }
-            {
-                std::lock_guard<std::mutex> lock(state.mu);
-                --state.active;
-                ++state.completed;
-                if (err) {
-                    state.stopped = true;
-                    if (static_cast<std::size_t>(seq) < state.error_seq) {
-                        state.error_seq = static_cast<std::size_t>(seq);
-                        state.error = err;
-                    }
-                } else if (!state.stopped) {
-                    for (std::int32_t d :
-                         dependents_[static_cast<std::size_t>(seq)]) {
-                        if (--state.pending[static_cast<std::size_t>(d)] ==
-                            0) {
-                            state.ready.push_back(d);
-                        }
-                    }
-                }
-            }
-            state.cv.notify_all();
-        }
-    };
-
-    const std::size_t width = std::min(
-        static_cast<std::size_t>(inter_op_threads_), total);
-    std::vector<std::function<void()>> loops;
-    loops.reserve(width);
-    for (std::size_t lane = 0; lane < width; ++lane) {
-        loops.push_back(drain);
-    }
-    inter_pool_->RunTasks(std::move(loops));
-
-    if (state.error) {
-        std::rethrow_exception(state.error);
+        CheckFeed(spec, it->second, /*batch=*/1);
     }
 }
 
@@ -502,14 +268,7 @@ FrozenPlan::Run(const std::map<std::string, Tensor>& feeds) const
             std::to_string(batch));
     }
 
-    std::vector<std::vector<Tensor>> values(
-        static_cast<std::size_t>(graph_.num_nodes()));
-    for (const auto& [id, value] : prebound_) {
-        values[static_cast<std::size_t>(id)] = {value};
-    }
-    for (const auto& [id, outputs] : folded_) {
-        values[static_cast<std::size_t>(id)] = outputs;
-    }
+    runtime::FeedMap by_node;
     for (const TensorSpec& spec : signature_.inputs) {
         auto fed = feeds.find(spec.name);
         if (fed == feeds.end()) {
@@ -517,41 +276,19 @@ FrozenPlan::Run(const std::map<std::string, Tensor>& feeds) const
                                         spec.name + "'");
         }
         CheckFeed(spec, fed->second, batch);
-        values[static_cast<std::size_t>(input_nodes_.at(spec.name))] = {
-            fed->second};
+        by_node[input_nodes_.at(spec.name)] = fed->second;
     }
 
-    // Per-run liveness credits: intermediates die at their last
+    // The planner is always on: intermediates die at their last
     // consumer and their buffers recycle through the pool, which is
     // what keeps steady-state serving allocation-free.
-    auto remaining =
-        std::make_unique<std::atomic<std::int32_t>[]>(steps_.size());
-    for (std::size_t i = 0; i < steps_.size(); ++i) {
-        remaining[i].store(consumer_count_[i], std::memory_order_relaxed);
-    }
-
-    if (inter_op_threads_ > 1 && steps_.size() > 1) {
-        RunParallel(values, remaining.get());
-    } else {
-        for (std::size_t seq = 0; seq < steps_.size(); ++seq) {
-            RunStep(seq, values);
-            ReleaseDead(seq, remaining.get(), values);
-        }
-    }
-
-    std::vector<Tensor> results;
-    results.reserve(fetches_.size());
-    for (const graph::Output& f : fetches_) {
-        const auto& produced = values[static_cast<std::size_t>(f.node)];
-        if (static_cast<std::size_t>(f.index) >= produced.size() ||
-            !produced[static_cast<std::size_t>(f.index)].initialized()) {
-            throw std::logic_error("FrozenPlan::Run: fetch of '" +
-                                   graph_.node(f.node).name +
-                                   "' produced no value");
-        }
-        results.push_back(produced[static_cast<std::size_t>(f.index)]);
-    }
-    return results;
+    runtime::ExecutorContext context;
+    context.intra_op_pool = intra_pool_.get();
+    context.rng = &rng_;
+    context.variables = &empty_variables_;
+    context.inter_op_threads = inter_op_threads_;
+    context.inter_op_pool = inter_pool_.get();
+    return runtime::Execute(plan_, by_node, context);
 }
 
 std::vector<std::vector<Tensor>>
@@ -570,6 +307,10 @@ FrozenPlan::ServeBatch(const std::vector<const RequestFeeds*>& requests) const
             std::to_string(padded));
     }
 
+    for (const RequestFeeds* request : requests) {
+        CheckRequest(*request);
+    }
+
     // Gather: stack each input along a fresh batch dimension; padding
     // rows replicate the first request (row independence makes their
     // content irrelevant to real rows; replication keeps them inside
@@ -583,15 +324,8 @@ FrozenPlan::ServeBatch(const std::vector<const RequestFeeds*>& requests) const
         for (std::int64_t i = 0; i < padded; ++i) {
             const RequestFeeds& request =
                 *requests[static_cast<std::size_t>(std::min(i, n - 1))];
-            auto it = request.find(spec.name);
-            if (it == request.end()) {
-                throw std::invalid_argument(
-                    "FrozenPlan::ServeBatch: request missing input '" +
-                    spec.name + "'");
-            }
-            CheckFeed(spec, it->second, /*batch=*/1);
             std::memcpy(dst + static_cast<std::size_t>(i) * row_bytes,
-                        RawBytes(it->second), row_bytes);
+                        RawBytes(request.at(spec.name)), row_bytes);
         }
         feeds.emplace(spec.name, std::move(batched));
     }

@@ -22,10 +22,13 @@
  *    executor pays is not paid per request). Const values are
  *    immutable and shared by reference.
  *
- * After Freeze(), Run() is const and thread-safe: any number of
- * threads may execute the plan concurrently, each with its own value
- * workspace. Outputs are bit-identical across inter-op widths (pure
- * ops commute) and across runs (weights are frozen).
+ * The frozen subgraph becomes a runtime::ExecutionPlan run by the same
+ * executor as Session (runtime/executor.h); the snapshotted weights and
+ * folded constants are the plan's seeded slots. After Freeze(), Run()
+ * is const and thread-safe: any number of threads may execute the plan
+ * concurrently, each with its own value workspace. Outputs are
+ * bit-identical across inter-op widths (pure ops commute), across runs
+ * (weights are frozen), and to Session::Run on the same batched feeds.
  */
 #ifndef FATHOM_SERVING_FROZEN_PLAN_H
 #define FATHOM_SERVING_FROZEN_PLAN_H
@@ -34,12 +37,12 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
 #include "graph/op_registry.h"
 #include "parallel/thread_pool.h"
+#include "runtime/executor.h"
 #include "runtime/session.h"
 #include "tensor/tensor.h"
 
@@ -90,9 +93,10 @@ struct FrozenPlanOptions {
      * Statically verify the frozen plan (on by default): structure,
      * whole-graph shape/dtype inference seeded from the signature's
      * TensorSpecs (batch = fixed_batch, or 1 for batch-flexible
-     * graphs), the in-place aliasing proof, and the frozen-mode
-     * determinism lint. A violation throws std::invalid_argument with
-     * the full diagnostic report.
+     * graphs), the in-place aliasing proof, the memory planner's
+     * liveness facts, and the frozen-mode determinism lint. A
+     * violation throws std::invalid_argument with the full diagnostic
+     * report.
      */
     bool verify = true;
 };
@@ -122,8 +126,17 @@ class FrozenPlan {
     std::int64_t fixed_batch() const { return signature_.fixed_batch; }
     int inter_op_threads() const { return inter_op_threads_; }
 
-    /** @return executable (non-source) op count, for introspection. */
-    std::size_t num_steps() const { return steps_.size(); }
+    /** @return executable (kernel) step count, for introspection. */
+    std::size_t num_steps() const { return plan_.steps.size(); }
+
+    /**
+     * Validates one single-example request (name -> [1, ...] tensor)
+     * against the signature.
+     *
+     * @throws std::invalid_argument naming the first missing, empty,
+     *         mistyped or misshapen input.
+     */
+    void CheckRequest(const RequestFeeds& request) const;
 
     /**
      * Executes the plan on batched feeds (name -> [B, ...] tensor).
@@ -160,54 +173,16 @@ class FrozenPlan {
   private:
     FrozenPlan() = default;
 
-    /** One executable entry: frozen-graph node + resolved op def. */
-    struct Step {
-        graph::NodeId node = -1;
-        const graph::OpDef* def = nullptr;
-        std::int32_t seq = -1;  ///< dense index into steps_.
-    };
-
     /** Validates one batched feed tensor against its spec. */
     void CheckFeed(const TensorSpec& spec, const Tensor& value,
                    std::int64_t batch) const;
 
-    /** Executes step @p seq into @p values (see session.cc). */
-    void RunStep(std::size_t seq, std::vector<std::vector<Tensor>>& values) const;
-
-    /** Decrements consumer counts; clears values that just died. */
-    void ReleaseDead(std::size_t seq, std::atomic<std::int32_t>* remaining,
-                     std::vector<std::vector<Tensor>>& values) const;
-
-    /** Drains the dependency graph across @p width concurrent lanes. */
-    void RunParallel(std::vector<std::vector<Tensor>>& values,
-                     std::atomic<std::int32_t>* remaining) const;
-
     InferenceSignature signature_;
     graph::Graph graph_;  ///< private copy of the inference subgraph.
-    /** Remapped fetch edges into graph_. */
-    std::vector<graph::Output> fetches_;
     /** Input name -> frozen placeholder node. */
     std::map<std::string, graph::NodeId> input_nodes_;
-    /** Weight/const values bound before execution (frozen node -> value). */
-    std::vector<std::pair<graph::NodeId, Tensor>> prebound_;
-    /** Rewrite edge redirection over the frozen graph (maybe empty). */
-    std::unordered_map<graph::NodeId, graph::NodeId> replacements_;
-    /** Values computed by freeze-time constant folding. */
-    std::unordered_map<graph::NodeId, std::vector<Tensor>> folded_;
-    /** Per step, in-place grant from the rewrite's liveness proof. */
-    std::vector<char> step_inplace_;
-
-    std::vector<Step> steps_;
-    /** Per step, steps unblocked by its completion. */
-    std::vector<std::vector<std::int32_t>> dependents_;
-    /** Per step, dependency count (data+control edges on other steps). */
-    std::vector<std::int32_t> initial_pending_;
-    /** Per step, producer steps of its data inputs (liveness credit). */
-    std::vector<std::vector<std::int32_t>> input_producers_;
-    /** Per step, consumer-step count before its outputs die. */
-    std::vector<std::int32_t> consumer_count_;
-    /** Per step, whether its outputs may be dropped when dead. */
-    std::vector<char> releasable_;
+    /** The executable, over graph_; the weight snapshot is its seeds. */
+    runtime::ExecutionPlan plan_;
 
     int inter_op_threads_ = 1;
     /** Intra-op pool handed to kernels; width-1 pools run inline. */

@@ -102,32 +102,11 @@ ServingRuntime::Submit(RequestFeeds feeds)
     // malformed requests fail fast at the submitter and a formed batch
     // can only fail on execution errors, not on feed-shape errors
     // introduced by a co-batched stranger.
-    for (const TensorSpec& spec : plan_->signature().inputs) {
-        auto it = feeds.find(spec.name);
-        if (it == feeds.end()) {
-            metrics.rejected.Add();
-            throw std::invalid_argument(
-                "ServingRuntime::Submit: missing input '" + spec.name + "'");
-        }
-        const Tensor& value = it->second;
-        if (!value.initialized() || value.dtype() != spec.dtype) {
-            metrics.rejected.Add();
-            throw std::invalid_argument(
-                "ServingRuntime::Submit: input '" + spec.name +
-                "' is empty or has the wrong dtype");
-        }
-        const auto& dims = value.shape().dims();
-        bool ok = dims.size() == spec.example_dims.size() + 1 && dims[0] == 1;
-        for (std::size_t d = 0; ok && d < spec.example_dims.size(); ++d) {
-            ok = dims[d + 1] == spec.example_dims[d];
-        }
-        if (!ok) {
-            metrics.rejected.Add();
-            throw std::invalid_argument(
-                "ServingRuntime::Submit: input '" + spec.name +
-                "' has shape " + value.DebugString() +
-                ", expected [1, example dims]");
-        }
+    try {
+        plan_->CheckRequest(feeds);
+    } catch (const std::invalid_argument&) {
+        metrics.rejected.Add();
+        throw;
     }
 
     Pending request;

@@ -38,9 +38,11 @@ foreach(test IN LISTS serving_fast_TESTS)
 endforeach()
 foreach(test IN LISTS serving_battery_TESTS)
     # The multi-client battery is the serving layer's race detector
-    # target; it joins `concurrency` so both TSan selections (-L
-    # concurrency and -L serving) cover it.
-    if(test MATCHES "Concurrent")
+    # target, and the Session-vs-FrozenPlan battery drives the shared
+    # executor's drain loop from both callers at inter-op 2/4; both
+    # join `concurrency` so both TSan selections (-L concurrency and
+    # -L serving) cover them.
+    if(test MATCHES "Concurrent|SessionVsFrozen")
         set_tests_properties("${test}" PROPERTIES
             LABELS "tier1;serving;concurrency;slow")
     else()

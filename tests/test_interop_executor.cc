@@ -19,6 +19,7 @@
 
 #include "ops/register.h"
 #include "runtime/session.h"
+#include "tensor/buffer_pool.h"
 #include "workloads/workload.h"
 
 namespace fathom::runtime {
@@ -278,9 +279,11 @@ TEST_F(InterOpExecutorTest, KernelFailurePropagatesAndEndsStepCleanly)
     feeds[x.node].Fill(0.5f);
     feeds[y.node].Fill(0.25f);
     const std::size_t steps_before = session.tracer().steps().size();
+    const auto live_before = BufferPool::Global().stats().live_bytes;
     EXPECT_THROW(session.Run(feeds, {good, bad}), std::runtime_error);
-    // The failed step still closed its trace.
+    // The failed step still closed its trace and returned every buffer.
     EXPECT_EQ(session.tracer().steps().size(), steps_before + 1);
+    EXPECT_EQ(BufferPool::Global().stats().live_bytes, live_before);
 
     // And the session still executes the healthy subgraph.
     const auto out = session.Run(feeds, {good});

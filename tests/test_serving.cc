@@ -3,7 +3,9 @@
  * The serving battery: FrozenPlan contract tests, the
  * batching-equivalence battery (a request served inside a coalesced
  * batch is bit-identical to the same request served alone, for all
- * eight workloads), the checkpoint->freeze round trip, the
+ * eight workloads), the Session-vs-FrozenPlan battery (the same
+ * batched feeds give the same bytes through the live session and the
+ * frozen plan), the checkpoint->freeze round trip, the
  * ServingRuntime shutdown contract, and the concurrent serving
  * battery (N client threads on one shared plan; runs under TSan via
  * the `serving` ctest label).
@@ -22,6 +24,7 @@
 #include "runtime/checkpoint.h"
 #include "serving/frozen_plan.h"
 #include "serving/serving_runtime.h"
+#include "tensor/buffer_pool.h"
 #include "workloads/workload.h"
 
 namespace fathom::serving {
@@ -126,6 +129,65 @@ TEST(FrozenPlanTest, FrozenWeightsAreImmuneToLiveTraining)
         std::memcmp(RawBytes(before[0]), RawBytes(retrained[0]), bytes), 0);
 }
 
+TEST(FrozenPlanTest, KernelFailurePropagatesAndPlanStaysUsable)
+{
+    RegisterAllWorkloads();
+    runtime::Session session(1);
+    auto b = session.MakeBuilder();
+    const auto x = b.Placeholder("x");
+    const auto y = b.Placeholder("y");
+    // Healthy branches race the MatMul, which fails unless the batch
+    // equals y's example width (5).
+    const auto good = b.AddN({b.Relu(x), b.Tanh(x), b.Sigmoid(x)});
+    const auto bad = b.MatMul(y, x);
+
+    InferenceSignature sig;
+    sig.inputs = {{"x", DType::kFloat32, {4}}, {"y", DType::kFloat32, {5}}};
+    sig.fetches = {good, bad};
+    sig.output_names = {"good", "bad"};
+    auto feeds_of = [](std::int64_t batch) {
+        std::map<std::string, Tensor> feeds;
+        feeds["x"] = Tensor(DType::kFloat32, Shape{batch, 4});
+        feeds["y"] = Tensor(DType::kFloat32, Shape{batch, 5});
+        feeds["x"].Fill(0.5f);
+        feeds["y"].Fill(0.25f);
+        return feeds;
+    };
+
+    for (int width : {1, 2, 4}) {
+        SCOPED_TRACE("inter-op width " + std::to_string(width));
+        FrozenPlanOptions options;
+        options.inter_op_threads = width;
+        // Pin the mid-run failure path: the static verifier would reject
+        // the mismatched MatMul at freeze time.
+        options.verify = false;
+        const auto plan = FrozenPlan::Freeze(session, sig, options);
+
+        const auto failing = feeds_of(4);  // [4,5] x [4,4]: mismatch.
+        const auto live_before = BufferPool::Global().stats().live_bytes;
+        try {
+            plan->Run(failing);
+            ADD_FAILURE() << "mismatched MatMul did not throw";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(session.graph()
+                                                     .node(bad.node)
+                                                     .name),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(BufferPool::Global().stats().live_bytes, live_before);
+
+        // The plan still serves a valid request: [5,5] x [5,4].
+        const auto out = plan->Run(feeds_of(5));
+        ASSERT_EQ(out.size(), 2u);
+        ASSERT_EQ(out[1].shape().dims(),
+                  (std::vector<std::int64_t>{5, 4}));
+        for (std::int64_t i = 0; i < out[1].num_elements(); ++i) {
+            EXPECT_EQ(out[1].data<float>()[i], 0.625f);
+        }
+    }
+}
+
 // ---- batching-equivalence battery ---------------------------------------
 
 class ServingEquivalenceBattery
@@ -181,6 +243,82 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, ServingEquivalenceBattery,
                                            "autoenc", "residual", "vgg",
                                            "alexnet", "deepq"),
                          [](const auto& info) { return info.param; });
+
+// ---- Session-vs-FrozenPlan battery --------------------------------------
+
+struct IdentityCase {
+    const char* workload;
+    int inter_op_threads;
+};
+
+class SessionVsFrozenBattery
+    : public ::testing::TestWithParam<IdentityCase> {};
+
+TEST_P(SessionVsFrozenBattery, SameBytesFromSessionAndFrozenPlan)
+{
+    const auto& param = GetParam();
+    auto workload = MakeServableWorkload(param.workload);
+    ASSERT_TRUE(workload->has_serving_endpoint());
+    workload->session().SetInterOpThreads(param.inter_op_threads);
+    FrozenPlanOptions options;
+    options.inter_op_threads = param.inter_op_threads;
+    const auto plan = workload->FreezeServingPlan(options);
+    const InferenceSignature& sig = plan->signature();
+
+    // Stack a full batch of sampled requests into batched feeds.
+    const std::int64_t batch = sig.fixed_batch > 0 ? sig.fixed_batch : 8;
+    std::vector<RequestFeeds> requests;
+    for (std::int64_t i = 0; i < batch; ++i) {
+        requests.push_back(workload->SampleServingRequest());
+    }
+    std::map<std::string, Tensor> feeds;
+    for (const TensorSpec& spec : sig.inputs) {
+        std::vector<std::int64_t> dims = {batch};
+        dims.insert(dims.end(), spec.example_dims.begin(),
+                    spec.example_dims.end());
+        Tensor batched(spec.dtype, Shape(dims));
+        const std::size_t row_bytes =
+            batched.byte_size() / static_cast<std::size_t>(batch);
+        char* dst = batched.dtype() == DType::kFloat32
+                        ? reinterpret_cast<char*>(batched.data<float>())
+                        : reinterpret_cast<char*>(
+                              batched.data<std::int32_t>());
+        for (std::int64_t i = 0; i < batch; ++i) {
+            std::memcpy(dst + static_cast<std::size_t>(i) * row_bytes,
+                        RawBytes(requests[static_cast<std::size_t>(i)].at(
+                            spec.name)),
+                        row_bytes);
+        }
+        feeds.emplace(spec.name, std::move(batched));
+    }
+
+    const auto from_session =
+        workload->session().RunNamed(feeds, sig.fetches);
+    const auto from_plan = plan->Run(feeds);
+    ASSERT_EQ(from_session.size(), from_plan.size());
+    for (std::size_t o = 0; o < from_plan.size(); ++o) {
+        ExpectBitIdentical(from_session[o], from_plan[o],
+                           std::string(param.workload) + " output " +
+                               sig.output_names[o]);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, SessionVsFrozenBattery,
+    ::testing::ValuesIn([] {
+        std::vector<IdentityCase> cases;
+        for (const char* name : {"seq2seq", "memnet", "speech", "autoenc",
+                                 "residual", "vgg", "alexnet", "deepq"}) {
+            for (int width : {1, 2, 4}) {
+                cases.push_back({name, width});
+            }
+        }
+        return cases;
+    }()),
+    [](const auto& info) {
+        return std::string(info.param.workload) + "_width" +
+               std::to_string(info.param.inter_op_threads);
+    });
 
 // ---- checkpoint -> freeze round trip ------------------------------------
 
@@ -243,6 +381,11 @@ TEST(ServingRuntimeTest, MalformedRequestRejectedUpFront)
     auto request = workload->SampleServingRequest();
     request.begin()->second = Tensor::Zeros(Shape{1, 3});  // wrong shape.
     EXPECT_THROW(runtime.Submit(std::move(request)), std::invalid_argument);
+
+    auto mistyped = workload->SampleServingRequest();
+    mistyped.begin()->second =
+        Tensor(DType::kInt32, mistyped.begin()->second.shape());
+    EXPECT_THROW(runtime.Submit(std::move(mistyped)), std::invalid_argument);
 }
 
 TEST(ServingRuntimeTest, StopDrainsEveryAcceptedRequest)
