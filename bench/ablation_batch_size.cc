@@ -48,7 +48,7 @@ main()
             options.warmup_steps = 1;
             options.train_steps = 3;
             options.infer_steps = 0;
-            options.batch_size = batch;
+            options.workload.batch_size = batch;
             const auto traces = core::RunAndTrace(c.name, options);
             const auto profile =
                 analysis::WallProfile(traces.training, traces.warmup_steps);

@@ -20,7 +20,6 @@
  */
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -78,8 +77,8 @@ MeasureConfig(const std::string& name, const SweepPoint& point, int steps)
     auto workload = workloads::WorkloadRegistry::Global().Create(name);
     workloads::WorkloadConfig config;
     config.seed = 1;
-    config.graph_rewrites = point.enabled;
-    config.rewrites = point.opts;
+    config.execution.graph_rewrites = point.enabled;
+    config.execution.rewrites = point.opts;
     workload->Setup(config);
 
     workload->RunInference(2);  // plan + warm the buffer pool.
@@ -110,13 +109,7 @@ main(int argc, char** argv)
         if (arg.rfind("--steps=", 0) == 0) {
             steps = std::stoi(arg.substr(8));
         } else if (arg.rfind("--workloads=", 0) == 0) {
-            std::stringstream list(arg.substr(12));
-            std::string item;
-            while (std::getline(list, item, ',')) {
-                if (!item.empty()) {
-                    names.push_back(item);
-                }
-            }
+            names = core::SplitCsv(arg.substr(12));
         } else {
             std::cerr << "unknown flag: " << arg << "\n";
             return 1;

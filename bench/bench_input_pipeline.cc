@@ -30,10 +30,10 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/table.h"
 #include "telemetry/exporters.h"
 #include "telemetry/metrics.h"
 #include "workloads/workload.h"
@@ -52,20 +52,6 @@ struct Options {
     std::string out_dir;
 };
 
-std::vector<std::string>
-SplitCsv(const std::string& csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty()) {
-            out.push_back(item);
-        }
-    }
-    return out;
-}
-
 Options
 ParseArgs(int argc, char** argv)
 {
@@ -79,15 +65,15 @@ ParseArgs(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--workloads") {
-            options.workloads = SplitCsv(next());
+            options.workloads = core::SplitCsv(next());
         } else if (arg == "--depths") {
             options.depths.clear();
-            for (const auto& v : SplitCsv(next())) {
+            for (const auto& v : core::SplitCsv(next())) {
                 options.depths.push_back(std::stoi(v));
             }
         } else if (arg == "--producers") {
             options.producers.clear();
-            for (const auto& v : SplitCsv(next())) {
+            for (const auto& v : core::SplitCsv(next())) {
                 options.producers.push_back(std::stoi(v));
             }
         } else if (arg == "--steps") {

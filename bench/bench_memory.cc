@@ -49,7 +49,7 @@ Measure(const std::string& name, int steps, bool planner)
     auto workload = workloads::WorkloadRegistry::Global().Create(name);
     workloads::WorkloadConfig config;
     config.seed = 5;
-    config.memory_planner = planner;
+    config.execution.memory_planner = planner;
     workload->Setup(config);
 
     Measurement m;

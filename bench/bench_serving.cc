@@ -34,11 +34,11 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/table.h"
 #include "serving/frozen_plan.h"
 #include "serving/serving_runtime.h"
 #include "telemetry/exporters.h"
@@ -58,20 +58,6 @@ struct Options {
     std::string out_dir;
 };
 
-std::vector<std::string>
-SplitCsv(const std::string& csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty()) {
-            out.push_back(item);
-        }
-    }
-    return out;
-}
-
 Options
 ParseArgs(int argc, char** argv)
 {
@@ -85,20 +71,20 @@ ParseArgs(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--workloads") {
-            options.workloads = SplitCsv(next());
+            options.workloads = core::SplitCsv(next());
         } else if (arg == "--concurrency") {
             options.concurrency.clear();
-            for (const auto& v : SplitCsv(next())) {
+            for (const auto& v : core::SplitCsv(next())) {
                 options.concurrency.push_back(std::stoi(v));
             }
         } else if (arg == "--budgets-us") {
             options.budgets_us.clear();
-            for (const auto& v : SplitCsv(next())) {
+            for (const auto& v : core::SplitCsv(next())) {
                 options.budgets_us.push_back(std::stoll(v));
             }
         } else if (arg == "--max-batches") {
             options.max_batches.clear();
-            for (const auto& v : SplitCsv(next())) {
+            for (const auto& v : core::SplitCsv(next())) {
                 options.max_batches.push_back(std::stoll(v));
             }
         } else if (arg == "--requests") {

@@ -112,7 +112,7 @@ RooflineFor(const std::string& name, std::int64_t batch, int steps)
     options.warmup_steps = 1;
     options.train_steps = steps;
     options.infer_steps = 0;
-    options.batch_size = batch;
+    options.workload.batch_size = batch;
     const auto traces = core::RunAndTrace(name, options);
     const auto report = analysis::BuildRooflineReport(
         traces.training, traces.warmup_steps, runtime::DeviceSpec::Cpu(1));

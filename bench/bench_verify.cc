@@ -31,7 +31,7 @@ ConstructSeconds(const std::string& name, std::int64_t batch, bool verify)
     workloads::WorkloadConfig config;
     config.batch_size = batch;
     config.tracing = false;
-    config.graph_verification = verify;
+    config.execution.verify = verify;
     auto workload = workloads::WorkloadRegistry::Global().Create(name);
     const auto start = std::chrono::steady_clock::now();
     workload->Setup(config);

@@ -23,7 +23,6 @@
  */
 #include <filesystem>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,24 +33,6 @@
 #include "core/table.h"
 #include "telemetry/exporters.h"
 #include "telemetry/metrics.h"
-
-namespace {
-
-std::vector<std::string>
-SplitCsv(const std::string& csv)
-{
-    std::vector<std::string> out;
-    std::istringstream in(csv);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        if (!item.empty()) {
-            out.push_back(item);
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 int
 main(int argc, char** argv)
@@ -79,7 +60,7 @@ main(int argc, char** argv)
         } else if (arg == "--steps") {
             train_steps = std::stoi(value());
         } else if (arg == "--workloads") {
-            names = SplitCsv(value());
+            names = core::SplitCsv(value());
         } else {
             std::cerr << "unknown flag: " << arg << "\n";
             return 2;
@@ -94,7 +75,7 @@ main(int argc, char** argv)
     options.warmup_steps = 1;
     options.train_steps = train_steps;
     options.infer_steps = 0;
-    options.telemetry = !telemetry_dir.empty();
+    options.workload.telemetry = !telemetry_dir.empty();
     if (!telemetry_dir.empty()) {
         std::filesystem::create_directories(telemetry_dir);
     }

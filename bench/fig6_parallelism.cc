@@ -44,8 +44,8 @@ MeasuredStepSeconds(const std::string& name, int threads,
     options.warmup_steps = 1;
     options.train_steps = 3;
     options.infer_steps = 0;
-    options.threads = threads;
-    options.inter_op_threads = inter_op_threads;
+    options.workload.execution.intra_op_threads = threads;
+    options.workload.execution.inter_op_threads = inter_op_threads;
     const auto traces = fathom::core::RunAndTrace(name, options);
 
     double total = 0.0;

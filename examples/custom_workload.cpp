@@ -46,9 +46,7 @@ class MlpWorkload : public workloads::Workload {
     Setup(const workloads::WorkloadConfig& config) override
     {
         batch_ = config.batch_size > 0 ? config.batch_size : 32;
-        session_ = std::make_unique<runtime::Session>(config.seed);
-        session_->SetThreads(config.threads);
-        session_->SetInterOpThreads(config.inter_op_threads);
+        session_ = MakeSession(config);
         dataset_ = std::make_unique<data::SyntheticMnistDataset>(
             config.seed ^ 0x31337);
 

@@ -85,8 +85,8 @@ main(int argc, char** argv)
 
     workloads::WorkloadConfig config;
     config.seed = 1;
-    config.threads = threads;
-    config.inter_op_threads = inter_op_threads;
+    config.execution.intra_op_threads = threads;
+    config.execution.inter_op_threads = inter_op_threads;
     workload->Setup(config);
     std::printf("%s: %s\n", workload->name().c_str(),
                 workload->description().c_str());

@@ -8,19 +8,7 @@ RunAndTrace(const std::string& name, const SuiteRunOptions& options)
     workloads::RegisterAllWorkloads();
     auto workload = workloads::WorkloadRegistry::Global().Create(name);
 
-    workloads::WorkloadConfig config;
-    config.seed = options.seed;
-    config.batch_size = options.batch_size;
-    config.threads = options.threads;
-    config.inter_op_threads = options.inter_op_threads;
-    config.memory_planner = options.memory_planner;
-    config.tracing = options.tracing;
-    config.telemetry = options.telemetry;
-    config.graph_rewrites = options.graph_rewrites;
-    config.rewrites = options.rewrites;
-    config.prefetch_depth = options.prefetch_depth;
-    config.producer_threads = options.producer_threads;
-    workload->Setup(config);
+    workload->Setup(options.workload);
 
     WorkloadTraces traces;
     traces.name = workload->name();

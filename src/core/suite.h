@@ -18,39 +18,19 @@ namespace fathom::core {
 
 /** How much work to run per workload when collecting traces. */
 struct SuiteRunOptions {
+    SuiteRunOptions() { workload.execution.graph_rewrites = false; }
+
     int warmup_steps = 1;  ///< steps dropped from every trace.
     int train_steps = 4;   ///< traced training steps.
     int infer_steps = 4;   ///< traced inference steps.
-    std::uint64_t seed = 1;
-    std::int64_t batch_size = 0;  ///< 0 = model default.
-    int threads = 1;              ///< intra-op pool width (Fig. 6 knob).
-    int inter_op_threads = 1;     ///< concurrent independent ops per step.
-    bool memory_planner = true;   ///< liveness-driven early tensor release.
-    bool tracing = true;          ///< per-op tracing (required for analyses).
-    bool telemetry = false;       ///< process-wide metrics collection.
 
     /**
-     * Graph rewrites (folding, CSE, transpose folding, fusion,
-     * in-place). Off by default HERE — the figure pipelines profile
-     * the graph as written, per the paper — while WorkloadConfig
-     * defaults rewrites on for throughput runs. Fetched values are
-     * bit-identical either way.
+     * Each workload's Setup() config. Graph rewrites are off by
+     * default HERE: the figure pipelines profile the graph as written,
+     * per the paper, while WorkloadConfig defaults them on for
+     * throughput runs. Fetched values are bit-identical either way.
      */
-    bool graph_rewrites = false;
-
-    /** Per-pattern knobs (effective when graph_rewrites is on). */
-    graph::rewrite::RewriteOptions rewrites;
-
-    /**
-     * Input-pipeline prefetch depth (0 = inline generation, the
-     * historical behavior; >= 1 overlaps batch materialization with
-     * step execution). Batches are bit-identical at every depth; see
-     * data::InputPipeline.
-     */
-    int prefetch_depth = 2;
-
-    /** Background batch-producer threads (effective when depth > 0). */
-    int producer_threads = 1;
+    workloads::WorkloadConfig workload;
 };
 
 /** The traces and metadata captured from one workload. */

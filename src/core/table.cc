@@ -74,4 +74,18 @@ FormatPercent(double fraction, int digits)
     return out.str();
 }
 
+std::vector<std::string>
+SplitCsv(const std::string& csv)
+{
+    std::vector<std::string> out;
+    std::istringstream in(csv);
+    std::string item;
+    while (std::getline(in, item, ',')) {
+        if (!item.empty()) {
+            out.push_back(item);
+        }
+    }
+    return out;
+}
+
 }  // namespace fathom::core

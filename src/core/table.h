@@ -1,7 +1,8 @@
 /**
  * @file
  * Minimal aligned-console-table formatter shared by the benchmark
- * binaries that print the paper's tables and figure series.
+ * binaries that print the paper's tables and figure series, plus the
+ * comma-list splitter their flag parsers share.
  */
 #ifndef FATHOM_CORE_TABLE_H
 #define FATHOM_CORE_TABLE_H
@@ -33,6 +34,9 @@ std::string FormatDouble(double value, int digits = 3);
 
 /** Formats a fraction as a percentage string, e.g. "42.3%". */
 std::string FormatPercent(double fraction, int digits = 1);
+
+/** Splits a comma-separated flag value, dropping empty items. */
+std::vector<std::string> SplitCsv(const std::string& csv);
 
 }  // namespace fathom::core
 

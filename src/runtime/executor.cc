@@ -500,6 +500,30 @@ FactsOf(const ExecutionPlan& plan)
     return facts;
 }
 
+ExecutionResources::ExecutionResources(const ExecutionOptions& options)
+    : options_(options)
+{
+    options_.intra_op_threads = std::max(options_.intra_op_threads, 1);
+    options_.inter_op_threads = std::max(options_.inter_op_threads, 1);
+    intra_op_pool_ =
+        std::make_unique<parallel::ThreadPool>(options_.intra_op_threads);
+    if (options_.inter_op_threads > 1) {
+        inter_op_pool_ =
+            std::make_unique<parallel::ThreadPool>(options_.inter_op_threads);
+    }
+}
+
+ExecutorContext
+ExecutionResources::Context() const
+{
+    ExecutorContext context;
+    context.intra_op_pool = intra_op_pool_.get();
+    context.inter_op_threads = options_.inter_op_threads;
+    context.inter_op_pool = inter_op_pool_.get();
+    context.memory_planning = options_.memory_planner;
+    return context;
+}
+
 std::vector<Tensor>
 Execute(const ExecutionPlan& plan, const FeedMap& feeds,
         const ExecutorContext& context)

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -117,6 +118,54 @@ ExecutionPlan BuildPlan(const graph::Graph& graph,
 /** @return the verifier's view of @p plan (borrows from it). */
 graph::verify::PlanFacts FactsOf(const ExecutionPlan& plan);
 
+/**
+ * Every execution knob, defined once. Session, FrozenPlan::Freeze,
+ * WorkloadConfig and the suite harness all take this struct. Fetched
+ * values and variables are bit-identical under every setting.
+ */
+struct ExecutionOptions {
+    /** Intra-op pool width handed to kernels (the paper's Fig. 6 knob). */
+    int intra_op_threads = 1;
+
+    /**
+     * Inter-op width: how many independent graph ops run concurrently
+     * within one step. At 1, Execute() runs the sequential loop; above
+     * it drains a dependency-counting ready queue. Pure ops commute and
+     * stateful ops (sampling, variable updates) are barriers in plan
+     * order, so RNG draws and parameter writes happen exactly as in
+     * the sequential loop.
+     */
+    int inter_op_threads = 1;
+
+    /**
+     * Liveness-driven memory planner: drop each intermediate at its
+     * last consumer (an atomic refcount, so the inter-op drain
+     * composes) and recycle its buffer through the BufferPool. Fetches,
+     * fed placeholders, Variable/Const reads and stateful ops are never
+     * released early.
+     */
+    bool memory_planner = true;
+
+    /**
+     * Graph rewrite framework (constant folding, CSE, transpose
+     * folding, elementwise fusion, in-place) at each plan build; see
+     * graph/rewrite/rewrite.h.
+     */
+    bool graph_rewrites = true;
+
+    /** Per-pattern knobs (effective when graph_rewrites is on). */
+    graph::rewrite::RewriteOptions rewrites{};
+
+    /**
+     * Static verification of every built plan: structure, shape/dtype
+     * inference seeded from the feeds, and the aliasing, liveness and
+     * determinism lints. A finding throws std::invalid_argument with
+     * the full report and nothing is cached. See
+     * graph/verify/verifier.h.
+     */
+    bool verify = true;
+};
+
 /** What one Execute() call runs with. Pointers are borrowed. */
 struct ExecutorContext {
     parallel::ThreadPool* intra_op_pool = nullptr;  ///< handed to kernels.
@@ -129,6 +178,28 @@ struct ExecutorContext {
     bool memory_planning = true;
     /** Per-op records go here when non-null and enabled. */
     Tracer* tracer = nullptr;
+};
+
+/**
+ * An ExecutionOptions with both thread widths clamped to at least 1
+ * (the one place that clamps them), plus the pools those widths ask
+ * for: an intra-op pool for kernels and, above width 1, an inter-op
+ * lane pool.
+ */
+class ExecutionResources {
+  public:
+    explicit ExecutionResources(const ExecutionOptions& options = {});
+
+    const ExecutionOptions& options() const { return options_; }
+
+    /** @return a context on these pools with the options' inter-op
+        width and planner; callers add the RNG, variables and tracer. */
+    ExecutorContext Context() const;
+
+  private:
+    ExecutionOptions options_;
+    std::unique_ptr<parallel::ThreadPool> intra_op_pool_;
+    std::unique_ptr<parallel::ThreadPool> inter_op_pool_;
 };
 
 /**

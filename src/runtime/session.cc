@@ -1,6 +1,5 @@
 #include "runtime/session.h"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -55,25 +54,9 @@ struct SessionMetrics {
 
 }  // namespace
 
-Session::Session(std::uint64_t seed)
-    : rng_(seed), pool_(std::make_unique<parallel::ThreadPool>(1))
+Session::Session(std::uint64_t seed, const ExecutionOptions& options)
+    : rng_(seed), resources_(options)
 {
-}
-
-void
-Session::SetThreads(int threads)
-{
-    pool_ = std::make_unique<parallel::ThreadPool>(threads);
-}
-
-void
-Session::SetInterOpThreads(int threads)
-{
-    inter_op_threads_ = std::max(threads, 1);
-    inter_op_pool_ =
-        inter_op_threads_ > 1
-            ? std::make_unique<parallel::ThreadPool>(inter_op_threads_)
-            : nullptr;
 }
 
 const ExecutionPlan&
@@ -90,11 +73,12 @@ Session::GetPlan(const FeedMap& feeds, const std::vector<graph::Output>& fetches
     }
     // Include graph size: appending nodes (e.g. building the training
     // graph after an inference run) must invalidate nothing but new
-    // fetch sets still plan correctly. The optimizer flag and rewrite
+    // fetch sets still plan correctly. The rewrite switch and pattern
     // knobs also change the plan.
-    key << "|" << graph_.num_nodes() << "|" << optimize_graphs_;
-    if (optimize_graphs_) {
-        key << "|" << rewrite_options_.CacheKey();
+    const ExecutionOptions& options = resources_.options();
+    key << "|" << graph_.num_nodes() << "|" << options.graph_rewrites;
+    if (options.graph_rewrites) {
+        key << "|" << options.rewrites.CacheKey();
     }
 
     auto it = plan_cache_.find(key.str());
@@ -103,7 +87,7 @@ Session::GetPlan(const FeedMap& feeds, const std::vector<graph::Output>& fetches
     }
 
     graph::rewrite::RewriteResult rewritten;
-    if (optimize_graphs_) {
+    if (options.graph_rewrites) {
         // The rewriter may append content-addressed "__rw/..." nodes to
         // the graph; they are unreachable from user-built roots, so
         // unoptimized plans and re-rewrites are unaffected (replanning
@@ -111,8 +95,8 @@ Session::GetPlan(const FeedMap& feeds, const std::vector<graph::Output>& fetches
         // When session-level verification is on, the stronger
         // feed-seeded, liveness-checking run below subsumes the
         // rewriter's own post-condition; don't verify the plan twice.
-        graph::rewrite::RewriteOptions ropts = rewrite_options_;
-        ropts.verify = ropts.verify && !verify_graphs_;
+        graph::rewrite::RewriteOptions ropts = options.rewrites;
+        ropts.verify = ropts.verify && !options.verify;
         rewritten = graph::rewrite::Rewrite(graph_, fetches, targets,
                                             variables_, ropts);
     } else {
@@ -130,7 +114,7 @@ Session::GetPlan(const FeedMap& feeds, const std::vector<graph::Output>& fetches
     // (seeded from this step's feed tensors), and the aliasing/
     // liveness/determinism lints. A violation throws and caches
     // nothing, so a corrected graph replans from scratch.
-    if (verify_graphs_) {
+    if (options.verify) {
         graph::verify::VerifyOptions vopts;
         vopts.variables = &variables_;
         for (const auto& [id, value] : feeds) {
@@ -168,13 +152,9 @@ Session::Run(const FeedMap& feeds, const std::vector<graph::Output>& fetches,
         return m;
     };
 
-    ExecutorContext context;
-    context.intra_op_pool = pool_.get();
+    ExecutorContext context = resources_.Context();
     context.rng = &rng_;
     context.variables = &variables_;
-    context.inter_op_threads = inter_op_threads_;
-    context.inter_op_pool = inter_op_pool_.get();
-    context.memory_planning = memory_planning_;
     context.tracer = &tracer_;
 
     const auto step_start = Clock::now();

@@ -43,7 +43,7 @@ BatchedShape(std::int64_t batch, const std::vector<std::int64_t>& example)
 std::shared_ptr<const FrozenPlan>
 FrozenPlan::Freeze(const runtime::Session& session,
                    const InferenceSignature& signature,
-                   const FrozenPlanOptions& options)
+                   const runtime::ExecutionOptions& options)
 {
     if (signature.fetches.empty()) {
         throw std::invalid_argument("FrozenPlan::Freeze: no fetches");
@@ -56,13 +56,7 @@ FrozenPlan::Freeze(const runtime::Session& session,
     // shared_ptr with private ctor: wrap manually.
     std::shared_ptr<FrozenPlan> plan(new FrozenPlan());
     plan->signature_ = signature;
-    plan->inter_op_threads_ = std::max(options.inter_op_threads, 1);
-    plan->intra_pool_ = std::make_unique<parallel::ThreadPool>(
-        std::max(options.intra_op_threads, 1));
-    if (plan->inter_op_threads_ > 1) {
-        plan->inter_pool_ = std::make_unique<parallel::ThreadPool>(
-            plan->inter_op_threads_);
-    }
+    plan->resources_ = runtime::ExecutionResources(options);
 
     const graph::Graph& src = session.graph();
     std::vector<graph::NodeId> roots;
@@ -149,7 +143,7 @@ FrozenPlan::Freeze(const runtime::Session& session,
     // (variables_as_constants): whole weight-only expressions are
     // evaluated once at freeze time instead of per request.
     graph::rewrite::RewriteResult rewritten;
-    if (options.optimize) {
+    if (options.graph_rewrites) {
         graph::rewrite::RewriteOptions ropts = options.rewrites;
         ropts.variables_as_constants = true;
         // The freeze-time verification below is stronger (TensorSpec
@@ -279,15 +273,12 @@ FrozenPlan::Run(const std::map<std::string, Tensor>& feeds) const
         by_node[input_nodes_.at(spec.name)] = fed->second;
     }
 
-    // The planner is always on: intermediates die at their last
-    // consumer and their buffers recycle through the pool, which is
-    // what keeps steady-state serving allocation-free.
-    runtime::ExecutorContext context;
-    context.intra_op_pool = intra_pool_.get();
+    // With the planner on (the default) intermediates die at their
+    // last consumer and their buffers recycle through the pool, which
+    // is what keeps steady-state serving allocation-free.
+    runtime::ExecutorContext context = resources_.Context();
     context.rng = &rng_;
     context.variables = &empty_variables_;
-    context.inter_op_threads = inter_op_threads_;
-    context.inter_op_pool = inter_pool_.get();
     return runtime::Execute(plan_, by_node, context);
 }
 

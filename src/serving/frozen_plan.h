@@ -41,7 +41,6 @@
 
 #include "graph/graph.h"
 #include "graph/op_registry.h"
-#include "parallel/thread_pool.h"
 #include "runtime/executor.h"
 #include "runtime/session.h"
 #include "tensor/tensor.h"
@@ -73,34 +72,6 @@ struct InferenceSignature {
     std::int64_t fixed_batch = 0;
 };
 
-/** Execution knobs fixed at freeze time (the plan stays immutable). */
-struct FrozenPlanOptions {
-    int intra_op_threads = 1;  ///< kernel-internal pool width.
-    int inter_op_threads = 1;  ///< concurrent ops per execution.
-
-    /**
-     * Run the graph rewrite framework over the frozen subgraph (with
-     * Variables treated as constants — weights are snapshotted, so
-     * whole weight-only expressions fold at freeze time). On by
-     * default; outputs are bit-identical either way.
-     */
-    bool optimize = true;
-
-    /** Per-pattern knobs (effective when optimize is on). */
-    graph::rewrite::RewriteOptions rewrites;
-
-    /**
-     * Statically verify the frozen plan (on by default): structure,
-     * whole-graph shape/dtype inference seeded from the signature's
-     * TensorSpecs (batch = fixed_batch, or 1 for batch-flexible
-     * graphs), the in-place aliasing proof, the memory planner's
-     * liveness facts, and the frozen-mode determinism lint. A
-     * violation throws std::invalid_argument with the full diagnostic
-     * report.
-     */
-    bool verify = true;
-};
-
 /** Feeds for one single-example request: name -> [1, ...] tensor. */
 using RequestFeeds = std::map<std::string, Tensor>;
 
@@ -110,21 +81,34 @@ class FrozenPlan {
      * Freezes the subgraph of @p session producing @p
      * signature.fetches.
      *
+     * @p options are fixed at freeze time (the plan stays immutable).
+     * With graph_rewrites on, the rewriter treats Variables as
+     * constants (weights are snapshotted), so whole weight-only
+     * expressions fold at freeze time. With verify on, the plan is
+     * statically verified once here, its placeholders seeded from the
+     * signature's TensorSpecs (batch = fixed_batch, or 1 for
+     * batch-flexible graphs) under the frozen-mode determinism lint.
+     *
      * @throws std::invalid_argument if the subgraph contains a
      *         stateful op (sampling, variable update), if a reachable
-     *         placeholder is not declared in the signature, or if a
-     *         declared input is not a placeholder.
+     *         placeholder is not declared in the signature, if a
+     *         declared input is not a placeholder, or on a
+     *         verification finding.
      */
     static std::shared_ptr<const FrozenPlan> Freeze(
         const runtime::Session& session, const InferenceSignature& signature,
-        const FrozenPlanOptions& options = {});
+        const runtime::ExecutionOptions& options = {});
 
     FrozenPlan(const FrozenPlan&) = delete;
     FrozenPlan& operator=(const FrozenPlan&) = delete;
 
     const InferenceSignature& signature() const { return signature_; }
     std::int64_t fixed_batch() const { return signature_.fixed_batch; }
-    int inter_op_threads() const { return inter_op_threads_; }
+    /** @return the knobs frozen in, thread widths clamped to >= 1. */
+    const runtime::ExecutionOptions& options() const
+    {
+        return resources_.options();
+    }
 
     /** @return executable (kernel) step count, for introspection. */
     std::size_t num_steps() const { return plan_.steps.size(); }
@@ -184,11 +168,8 @@ class FrozenPlan {
     /** The executable, over graph_; the weight snapshot is its seeds. */
     runtime::ExecutionPlan plan_;
 
-    int inter_op_threads_ = 1;
-    /** Intra-op pool handed to kernels; width-1 pools run inline. */
-    std::unique_ptr<parallel::ThreadPool> intra_pool_;
-    /** Lane pool for inter-op execution; null when width is 1. */
-    std::unique_ptr<parallel::ThreadPool> inter_pool_;
+    /** The frozen knobs and the thread pools they ask for. */
+    runtime::ExecutionResources resources_;
     /** Never drawn from (stateful ops are rejected); OpContext needs one. */
     mutable Rng rng_{0};
     /** Never touched by frozen kernels; OpContext needs one. */

@@ -12,13 +12,8 @@ std::unique_ptr<runtime::Session>
 Workload::MakeSession(const WorkloadConfig& config)
 {
     config_ = config;
-    auto session = std::make_unique<runtime::Session>(config.seed);
-    session->SetThreads(config.threads);
-    session->SetInterOpThreads(config.inter_op_threads);
-    session->SetMemoryPlanning(config.memory_planner);
-    session->SetGraphOptimization(config.graph_rewrites);
-    session->SetRewriteOptions(config.rewrites);
-    session->SetVerification(config.graph_verification);
+    auto session =
+        std::make_unique<runtime::Session>(config.seed, config.execution);
     session->tracer().set_enabled(config.tracing);
     telemetry::MetricsRegistry::set_enabled(config.telemetry);
     return session;
@@ -63,10 +58,10 @@ Workload::SampleServingRequest()
 }
 
 std::shared_ptr<const serving::FrozenPlan>
-Workload::FreezeServingPlan(const serving::FrozenPlanOptions& options) const
+Workload::FreezeServingPlan() const
 {
     return serving::FrozenPlan::Freeze(session(), ServingSignature(),
-                                       options);
+                                       config_.execution);
 }
 
 runtime::Session&

@@ -31,23 +31,6 @@ struct WorkloadConfig {
     /** Minibatch size; 0 selects the model default. */
     std::int64_t batch_size = 0;
 
-    /** Intra-op thread count (the Fig. 6 knob). */
-    int threads = 1;
-
-    /**
-     * Inter-op thread count: independent graph ops executed
-     * concurrently per step (values stay bit-identical; see
-     * Session::SetInterOpThreads).
-     */
-    int inter_op_threads = 1;
-
-    /**
-     * Liveness-driven memory planner: drop each intermediate tensor at
-     * its last consumer and recycle buffers through the pool (values
-     * stay bit-identical; see Session::SetMemoryPlanning).
-     */
-    bool memory_planner = true;
-
     /**
      * Per-op execution tracing (timestamps, costs; the input of every
      * Figs. 1-6 analysis). On by default, matching historical behavior;
@@ -66,24 +49,6 @@ struct WorkloadConfig {
     bool telemetry = false;
 
     /**
-     * Graph rewrite framework (constant folding, CSE, transpose
-     * folding, elementwise fusion, in-place). Default on — every
-     * pattern preserves bit-identical fetches, variables, and traces;
-     * see graph/rewrite/rewrite.h.
-     */
-    bool graph_rewrites = true;
-
-    /** Per-pattern knobs (effective when graph_rewrites is on). */
-    graph::rewrite::RewriteOptions rewrites;
-
-    /**
-     * Static graph verification at every plan build (structure,
-     * shape/dtype inference, aliasing/liveness/determinism lints).
-     * Default on; see Session::SetVerification.
-     */
-    bool graph_verification = true;
-
-    /**
      * Input-pipeline prefetch depth: how many pre-materialized feed
      * batches may wait in the bounded queue ahead of the consuming
      * step. 0 generates batches inline with each step (the historical
@@ -96,6 +61,10 @@ struct WorkloadConfig {
 
     /** Background batch-producer threads (effective when depth > 0). */
     int producer_threads = 1;
+
+    /** Thread widths, memory planner, rewrites and verification, for
+        both the training session and the frozen serving plan. */
+    runtime::ExecutionOptions execution;
 };
 
 /** Aggregate result of a timed run of steps. */
@@ -193,11 +162,11 @@ class Workload {
 
     /**
      * Freezes the serving endpoint into an immutable, reentrant plan
-     * (see serving::FrozenPlan::Freeze). The workload's session keeps
+     * with the config's execution options (see
+     * serving::FrozenPlan::Freeze). The workload's session keeps
      * training independently afterwards.
      */
-    std::shared_ptr<const serving::FrozenPlan> FreezeServingPlan(
-        const serving::FrozenPlanOptions& options = {}) const;
+    std::shared_ptr<const serving::FrozenPlan> FreezeServingPlan() const;
 
     /** @return the session (graph, variables, trace). Valid after Setup. */
     runtime::Session& session();
@@ -208,11 +177,10 @@ class Workload {
 
   protected:
     /**
-     * @return a session with every WorkloadConfig execution knob
-     * applied (threads, inter-op width, memory planner, tracing,
-     * telemetry). Every model's Setup() starts with this, so a new
-     * knob lands in all eight workloads at once. Also retains the
-     * config, which MakePipeline reads for the pipeline knobs.
+     * @return a session running with the config's execution options,
+     * tracing and telemetry. Every model's Setup() starts with this,
+     * so a new knob lands in all eight workloads at once. Also retains
+     * the config, which MakePipeline and FreezeServingPlan read.
      */
     std::unique_ptr<runtime::Session> MakeSession(
         const WorkloadConfig& config);

@@ -329,8 +329,7 @@ TEST(GraphVerifySessionTest, SessionRejectsBadGraphAtPlanBuild)
 TEST(GraphVerifySessionTest, SetVerificationOffRestoresKernelTimeFailure)
 {
     ops::RegisterStandardOps();
-    runtime::Session session;
-    session.SetVerification(false);
+    runtime::Session session(1, {.verify = false});
     auto b = session.MakeBuilder();
     const Output x = b.Placeholder("x");
     const Output w = b.Variable("w", test::RandomTensor(Shape{5, 4}, 1));
@@ -353,7 +352,7 @@ TEST(GraphVerifyWorkloadTest, AllTrainGraphsVerifyCleanAtPlanBuild)
         config.batch_size = 2;
         auto workload = workloads::WorkloadRegistry::Global().Create(name);
         workload->Setup(config);
-        ASSERT_TRUE(workload->session().verification()) << name;
+        ASSERT_TRUE(workload->session().options().verify) << name;
         try {
             // Plan build (a cache miss) runs the full verification;
             // a violation throws std::invalid_argument with the report.
@@ -430,7 +429,7 @@ TEST(VerifyOverheadTest, PlanBuildVerificationWithinBudget)
         workloads::WorkloadConfig config;
         config.batch_size = 2;
         config.tracing = false;
-        config.graph_verification = verify;
+        config.execution.verify = verify;
         auto workload =
             workloads::WorkloadRegistry::Global().Create("alexnet");
         const auto start = std::chrono::steady_clock::now();

@@ -2,9 +2,9 @@
  * @file
  * Determinism battery for the inter-op parallel executor.
  *
- * The executor's contract (Session::SetInterOpThreads) is that only
- * scheduling changes with the thread count — every fetched tensor and
- * every variable is bit-identical to the sequential executor, because
+ * The executor's contract (ExecutionOptions::inter_op_threads) is that
+ * only scheduling changes with the thread count — every fetched tensor
+ * and every variable is bit-identical to the sequential executor, because
  * stateful ops (RNG draws, parameter updates) act as plan-order
  * barriers. These tests pin that contract down to the byte, on small
  * synthetic graphs and on all eight paper workloads.
@@ -72,23 +72,11 @@ Ramp(std::int64_t n, float scale)
     return t;
 }
 
-TEST_F(InterOpExecutorTest, SetInterOpThreadsClampsToOne)
-{
-    Session session;
-    session.SetInterOpThreads(0);
-    EXPECT_EQ(session.inter_op_threads(), 1);
-    session.SetInterOpThreads(-3);
-    EXPECT_EQ(session.inter_op_threads(), 1);
-    session.SetInterOpThreads(4);
-    EXPECT_EQ(session.inter_op_threads(), 4);
-}
-
 TEST_F(InterOpExecutorTest, DiamondMatchesSequentialBitwise)
 {
     for (int inter : {2, 4}) {
         Session sequential;
-        Session parallel;
-        parallel.SetInterOpThreads(inter);
+        Session parallel(1, {.inter_op_threads = inter});
 
         auto bs = sequential.MakeBuilder();
         auto bp = parallel.MakeBuilder();
@@ -122,7 +110,7 @@ TEST_F(InterOpExecutorTest, ToggleThreadCountOnOneSession)
     feeds[x.node] = Ramp(32, 0.25f);
     const auto baseline = session.Run(feeds, {y});
     for (int inter : {2, 4, 1}) {
-        session.SetInterOpThreads(inter);
+        session.set_options({.inter_op_threads = inter});
         const auto out = session.Run(feeds, {y});
         ExpectBitIdentical(baseline[0], out[0],
                            "toggle inter=" + std::to_string(inter));
@@ -133,8 +121,7 @@ TEST_F(InterOpExecutorTest, WideFanoutMatchesSequentialBitwise)
 {
     // 32 independent branches keep the ready queue genuinely wide.
     Session sequential;
-    Session parallel;
-    parallel.SetInterOpThreads(4);
+    Session parallel(1, {.inter_op_threads = 4});
 
     auto build = [](graph::GraphBuilder& b, Output x) {
         std::vector<Output> fetches;
@@ -180,8 +167,7 @@ TEST_F(InterOpExecutorTest, RandomOpsDrawInPlanOrder)
     };
 
     Session sequential(/*seed=*/7);
-    Session parallel(/*seed=*/7);
-    parallel.SetInterOpThreads(4);
+    Session parallel(/*seed=*/7, {.inter_op_threads = 4});
     std::vector<Output> fetch_s, fetch_p;
     build(sequential, &fetch_s);
     build(parallel, &fetch_p);
@@ -218,8 +204,7 @@ TEST_F(InterOpExecutorTest, OptimizerBarrierKeepsVariablesIdentical)
     };
 
     Session sequential;
-    Session parallel;
-    parallel.SetInterOpThreads(4);
+    Session parallel(1, {.inter_op_threads = 4});
     Output x_s, x_p, loss_s, loss_p;
     std::vector<graph::NodeId> targets_s, targets_p;
     build(sequential, &x_s, &loss_s, &targets_s);
@@ -245,8 +230,7 @@ TEST_F(InterOpExecutorTest, OptimizerBarrierKeepsVariablesIdentical)
 
 TEST_F(InterOpExecutorTest, MissingFeedThrowsAndSessionStaysUsable)
 {
-    Session session;
-    session.SetInterOpThreads(4);
+    Session session(1, {.inter_op_threads = 4});
     auto b = session.MakeBuilder();
     const Output x = b.Placeholder("x");
     const Output y = BuildDiamond(b, x);
@@ -264,8 +248,7 @@ TEST_F(InterOpExecutorTest, KernelFailurePropagatesAndEndsStepCleanly)
     Session session;
     // Pin the mid-step failure path: the static verifier would reject
     // the mismatched MatMul at plan build, before any step ran.
-    session.SetVerification(false);
-    session.SetInterOpThreads(4);
+    session.set_options({.inter_op_threads = 4, .verify = false});
     auto b = session.MakeBuilder();
     const Output x = b.Placeholder("x");
     const Output y = b.Placeholder("y");
@@ -293,8 +276,7 @@ TEST_F(InterOpExecutorTest, KernelFailurePropagatesAndEndsStepCleanly)
 TEST_F(InterOpExecutorTest, TraceIsCanonicalUnderParallelExecution)
 {
     Session sequential;
-    Session parallel;
-    parallel.SetInterOpThreads(4);
+    Session parallel(1, {.inter_op_threads = 4});
 
     auto bs = sequential.MakeBuilder();
     auto bp = parallel.MakeBuilder();
@@ -344,7 +326,7 @@ TEST_F(InterOpExecutorTest, AllWorkloadsBitIdenticalBattery)
                 workloads::WorkloadRegistry::Global().Create(name);
             workloads::WorkloadConfig config;
             config.seed = 11;
-            config.inter_op_threads = inter;
+            config.execution.inter_op_threads = inter;
             workload->Setup(config);
             const float train_loss =
                 workload->RunTraining(1).final_loss;

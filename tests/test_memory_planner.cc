@@ -2,9 +2,9 @@
  * @file
  * Tests for the liveness-driven memory planner and the buffer pool.
  *
- * The planner's contract (Session::SetMemoryPlanning) is that it only
- * changes *when* dead intermediates are dropped and *where* buffers
- * come from — never a computed value. These tests pin that down: the
+ * The planner's contract (runtime::ExecutionOptions::memory_planner)
+ * is that it only changes *when* dead intermediates are dropped and
+ * *where* buffers come from — never a computed value. These tests pin that down: the
  * pool recycles freed blocks, the planner shrinks a deep chain's peak
  * footprint, exempt values (fetches, variables) survive to the end of
  * the step, and — the headline battery — every paper workload's loss
@@ -128,8 +128,7 @@ TEST_F(MemoryPlannerTest, PlannerShrinksChainPeakFootprint)
     // link stays live to the end of the step (~12 MiB); with it the
     // frontier is a couple of links.
     auto measure = [](bool planner) {
-        Session session;
-        session.SetMemoryPlanning(planner);
+        Session session(1, {.memory_planner = planner});
         auto b = session.MakeBuilder();
         const Output x = b.Placeholder("x");
         const Output y = BuildChain(b, x, 24);
@@ -152,9 +151,7 @@ TEST_F(MemoryPlannerTest, PlannerShrinksChainPeakFootprint)
 TEST_F(MemoryPlannerTest, FetchedIntermediatesAreExemptFromRelease)
 {
     Session planned;
-    Session baseline;
-    planned.SetMemoryPlanning(true);
-    baseline.SetMemoryPlanning(false);
+    Session baseline(1, {.memory_planner = false});
 
     auto build = [](Session& s, std::vector<Output>* fetches) {
         auto b = s.MakeBuilder();
@@ -186,8 +183,7 @@ TEST_F(MemoryPlannerTest, RunOnlyTargetsAndVariablesSurvivePlanning)
     // disturb stateful barrier semantics, and fetching a variable read
     // after the step still sees the pre-update clone.
     auto run = [](bool planner) {
-        Session session(/*seed=*/3);
-        session.SetMemoryPlanning(planner);
+        Session session(/*seed=*/3, {.memory_planner = planner});
         auto b = session.MakeBuilder();
         std::string w_name;
         const Output w = b.Variable("w", Tensor::Full(Shape{64}, 0.5f),
@@ -221,9 +217,7 @@ TEST_F(MemoryPlannerTest, PlannerComposesWithGraphOptimizer)
     // CSE + folding rewrite the plan; liveness must follow the
     // replacements, not the original edges.
     auto run = [](bool planner) {
-        Session session;
-        session.SetMemoryPlanning(planner);
-        session.SetGraphOptimization(true);
+        Session session(1, {.memory_planner = planner});
         auto b = session.MakeBuilder();
         const Output x = b.Placeholder("x");
         const Output t1 = b.Tanh(x);
@@ -257,8 +251,8 @@ TEST_F(MemoryPlannerTest, AllWorkloadsPlannerOnOffBitIdenticalBattery)
                 workloads::WorkloadRegistry::Global().Create(name);
             workloads::WorkloadConfig config;
             config.seed = 17;
-            config.memory_planner = planner;
-            config.inter_op_threads = inter;
+            config.execution.memory_planner = planner;
+            config.execution.inter_op_threads = inter;
             workload->Setup(config);
             const float train_loss = workload->RunTraining(1).final_loss;
             workload->RunInference(1);

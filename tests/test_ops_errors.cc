@@ -20,8 +20,12 @@ class OpErrorTest : public ::testing::Test {
 
     // These tests pin the *kernel-time* error paths; the static
     // verifier would reject most of these graphs at plan build (that
-    // layer has its own battery in test_graph_verify.cc).
-    void SetUp() override { session_.SetVerification(false); }
+    // layer has its own battery in test_graph_verify.cc), and so would
+    // the rewriter's own post-condition, so the graph runs as written.
+    void SetUp() override
+    {
+        session_.set_options({.graph_rewrites = false, .verify = false});
+    }
 
     runtime::Session session_;
 };

@@ -103,8 +103,7 @@ TEST_F(RewriteFrameworkTest, FoldsConstOnlySubgraph)
 
 TEST_F(RewriteFrameworkTest, FoldedNodeCanBeFetched)
 {
-    Session session;
-    session.SetGraphOptimization(true);
+    Session session(1, {.graph_rewrites = true});
     auto b = session.MakeBuilder();
     const Output c = b.Add(b.ScalarConst(2.0f), b.ScalarConst(5.0f));
     const auto out = session.Run({}, {c});
@@ -117,8 +116,7 @@ TEST_F(RewriteFrameworkTest, FoldingPreservesNanAndInfBits)
     // produce NaN/Inf at runtime produce the very same bits at fold
     // time (0/0, log(-1), 1/0, inf - inf).
     auto run = [](bool optimize) {
-        Session session;
-        session.SetGraphOptimization(optimize);
+        Session session(1, {.graph_rewrites = optimize});
         auto b = session.MakeBuilder();
         const Output zero = b.ScalarConst(0.0f);
         const Output one = b.ScalarConst(1.0f);
@@ -280,8 +278,7 @@ TEST_F(RewriteFrameworkTest, FetchedIntermediatesSurviveRewrites)
     // Fetching both duplicates of a CSE pair must deliver both values
     // (the protected fetch resolves through the replacement map), and
     // a fetched node with no consumers must never be DCE'd.
-    Session session;
-    session.SetGraphOptimization(true);
+    Session session(1, {.graph_rewrites = true});
     auto b = session.MakeBuilder();
     const Output x = b.Placeholder("x");
     const Output t1 = b.Tanh(x);
@@ -327,8 +324,7 @@ TEST_F(RewriteFrameworkTest, TransposeFoldsIntoMatMulFlags)
     // Bit identity against the unoptimized session (the GEMM engine
     // treats transposition as a pure stride swap).
     auto run = [](bool optimize) {
-        Session s2;
-        s2.SetGraphOptimization(optimize);
+        Session s2(1, {.graph_rewrites = optimize});
         auto b2 = s2.MakeBuilder();
         const Output a2 = b2.Placeholder("a");
         const Output w2 = b2.Placeholder("w");
@@ -364,8 +360,7 @@ TEST_F(RewriteFrameworkTest, TransposeChainsAndReshapesSimplify)
     EXPECT_EQ(result.Resolve(ti.node), x.node);
 
     auto run = [](bool optimize) {
-        Session s2;
-        s2.SetGraphOptimization(optimize);
+        Session s2(1, {.graph_rewrites = optimize});
         auto b2 = s2.MakeBuilder();
         const Output x2 = b2.Placeholder("x");
         const Output tt2 = b2.Transpose(b2.Transpose(x2, {1, 0}), {1, 0});
@@ -400,11 +395,9 @@ TEST_F(RewriteFrameworkTest, ElementwiseChainFusesToOneKernel)
     EXPECT_EQ(node.attr("ops").AsString(), "Mul,Add,Tanh");
 
     auto run = [](bool fuse) {
-        Session s2;
-        s2.SetGraphOptimization(true);
         auto o = AllOff();
         o.elementwise_fusion = fuse;
-        s2.SetRewriteOptions(o);
+        Session s2(1, {.rewrites = o});
         auto b2 = s2.MakeBuilder();
         const Output x2 = b2.Placeholder("x");
         const Output c2 = b2.Placeholder("c");
@@ -440,9 +433,9 @@ TEST_F(RewriteFrameworkTest, FusionSkipsMultiUseInteriors)
 
     FeedMap feeds;
     feeds[x.node] = RandomTensor(Shape{16}, 13);
-    session.SetGraphOptimization(true);
+    session.set_options({.graph_rewrites = true});
     const Tensor on = session.Run(feeds, {y})[0].Clone();
-    session.SetGraphOptimization(false);
+    session.set_options({.graph_rewrites = false});
     const Tensor off = session.Run(feeds, {y})[0].Clone();
     ExpectBitIdentical(off, on, "multi-use interior");
 }
@@ -466,11 +459,9 @@ TEST_F(RewriteFrameworkTest, InPlaceMarksDyingInputsAndPreservesBits)
     EXPECT_GE(result.fire_counts.at("inplace"), 1);
 
     // Bit identity AND feed integrity under the executor.
-    Session s2;
-    s2.SetGraphOptimization(true);
     auto o = AllOff();
     o.inplace = true;
-    s2.SetRewriteOptions(o);
+    Session s2(1, {.rewrites = o});
     auto b2 = s2.MakeBuilder();
     const Output x2 = b2.Placeholder("x");
     const Output y2 = b2.ReduceSum(b2.Relu(b2.Square(x2)), {}, false);
@@ -481,7 +472,7 @@ TEST_F(RewriteFrameworkTest, InPlaceMarksDyingInputsAndPreservesBits)
     const float on = s2.Run(feeds, {y2})[0].scalar_value();
     ExpectBitIdentical(saved, feed, "feed must not be written in place");
 
-    s2.SetGraphOptimization(false);
+    s2.set_options({.graph_rewrites = false});
     const float off = s2.Run(feeds, {y2})[0].scalar_value();
     EXPECT_EQ(off, on);
 }
@@ -630,8 +621,7 @@ TEST_F(RewriteFrameworkTest, OptimizedSessionMatchesUnoptimized)
     // Identical results through a graph with shared subexpressions
     // and constant arms.
     auto build_and_run = [](bool optimize) {
-        Session session(7);
-        session.SetGraphOptimization(optimize);
+        Session session(7, {.graph_rewrites = optimize});
         auto b = session.MakeBuilder();
         const Output x = b.Placeholder("x");
         const Output scale =
@@ -648,7 +638,7 @@ TEST_F(RewriteFrameworkTest, OptimizedSessionMatchesUnoptimized)
 
 TEST_F(RewriteFrameworkTest, OptimizedRunExecutesFewerOps)
 {
-    Session session(7);
+    Session session(7, {.graph_rewrites = false});
     auto b = session.MakeBuilder();
     const Output x = b.Placeholder("x");
     const Output scale = b.Add(b.ScalarConst(1.5f), b.ScalarConst(0.5f));
@@ -662,7 +652,7 @@ TEST_F(RewriteFrameworkTest, OptimizedRunExecutesFewerOps)
     const std::size_t baseline =
         session.tracer().steps().back().records.size();
 
-    session.SetGraphOptimization(true);
+    session.set_options({.graph_rewrites = true});
     session.Run(feeds, {y});
     const std::size_t optimized =
         session.tracer().steps().back().records.size();
@@ -674,8 +664,7 @@ TEST_F(RewriteFrameworkTest, TrainingStillWorksUnderOptimization)
     // The whole autodiff + in-place update pipeline must survive the
     // rewrites: stateful update ops are pinned, variable reads are
     // not folded, and CSE must not merge across them incorrectly.
-    Session session(11);
-    session.SetGraphOptimization(true);
+    Session session(11, {.graph_rewrites = true});
     auto b = session.MakeBuilder();
     std::string var;
     const Output w = b.Variable("w", Tensor::Scalar(0.0f), &var);
@@ -694,9 +683,8 @@ TEST_F(RewriteFrameworkTest, PlannerComposesWithRewrites)
     // buffers; the memory planner's liveness must follow the rewritten
     // plan. All four combinations must agree bitwise.
     auto run = [](bool planner, bool rewrites) {
-        Session session;
-        session.SetMemoryPlanning(planner);
-        session.SetGraphOptimization(rewrites);
+        Session session(1, {.memory_planner = planner,
+                            .graph_rewrites = rewrites});
         auto b = session.MakeBuilder();
         const Output x = b.Placeholder("x");
         const Output t1 = b.Tanh(b.Relu(b.Square(x)));
@@ -721,13 +709,13 @@ TEST_F(RewriteFrameworkTest, SharedAttentionProjectionsMergeInSeq2Seq)
     auto w = fathom::workloads::WorkloadRegistry::Global().Create("seq2seq");
     fathom::workloads::WorkloadConfig config;
     config.seed = 2;
-    config.graph_rewrites = false;
+    config.execution.graph_rewrites = false;
     w->Setup(config);
 
     w->RunInference(1);
     const std::size_t baseline =
         w->session().tracer().steps().back().records.size();
-    w->session().SetGraphOptimization(true);
+    w->session().set_options({.graph_rewrites = true});
     w->RunInference(1);
     const std::size_t optimized =
         w->session().tracer().steps().back().records.size();
@@ -742,8 +730,7 @@ TEST_F(RewriteFrameworkTest, RewriteTelemetryCountersFire)
     telemetry::MetricsRegistry::set_enabled(true);
     telemetry::MetricsRegistry::Global().ResetAll();
 
-    Session session;
-    session.SetGraphOptimization(true);
+    Session session(1, {.graph_rewrites = true});
     auto b = session.MakeBuilder();
     const Output x = b.Placeholder("x");
     const Output c = b.Add(b.ScalarConst(1.0f), b.ScalarConst(2.0f));
@@ -825,8 +812,8 @@ TEST_F(RewriteFrameworkTest, AllWorkloadsBitIdenticalPerPatternSweep)
             workloads::WorkloadConfig config;
             config.seed = 5;
             config.batch_size = 4;
-            config.graph_rewrites = pc.enabled;
-            config.rewrites = pc.opts;
+            config.execution.graph_rewrites = pc.enabled;
+            config.execution.rewrites = pc.opts;
             workload->Setup(config);
 
             const float loss = workload->RunTraining(2).final_loss;
@@ -837,14 +824,11 @@ TEST_F(RewriteFrameworkTest, AllWorkloadsBitIdenticalPerPatternSweep)
                     workload->session().variables().Get(var).Clone();
             }
 
-            // Serving: freeze with the matching rewrite config and
+            // Serving: freeze (with the same rewrite config) and
             // serve one deterministic request.
             std::vector<Tensor> served;
             if (workload->has_serving_endpoint()) {
-                serving::FrozenPlanOptions fopts;
-                fopts.optimize = pc.enabled;
-                fopts.rewrites = pc.opts;
-                const auto plan = workload->FreezeServingPlan(fopts);
+                const auto plan = workload->FreezeServingPlan();
                 const auto request = workload->SampleServingRequest();
                 served = plan->ServeOne(request);
             }

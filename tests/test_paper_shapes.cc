@@ -28,7 +28,7 @@ FastOptions()
     options.warmup_steps = 1;
     options.train_steps = 2;
     options.infer_steps = 0;
-    options.seed = 13;
+    options.workload.seed = 13;
     return options;
 }
 

@@ -52,9 +52,7 @@ class RewriteConcurrentTest : public ::testing::Test {
 TEST_F(RewriteConcurrentTest, FusedChainFanOutHammerBattery)
 {
     auto run = [](int inter, int iterations) {
-        Session session(3);
-        session.SetGraphOptimization(true);
-        session.SetInterOpThreads(inter);
+        Session session(3, {.inter_op_threads = inter});
         auto b = session.MakeBuilder();
         const Output x = b.Placeholder("x");
         std::vector<Output> chains;
@@ -128,9 +126,8 @@ TEST_F(RewriteConcurrentTest, WorkloadRewritesInterOpBitIdenticalBattery)
                 workloads::WorkloadConfig config;
                 config.seed = 7;
                 config.batch_size = 4;
-                config.inter_op_threads = inter;
-                config.graph_rewrites = true;
-                config.rewrites = variant.opts;
+                config.execution.inter_op_threads = inter;
+                config.execution.rewrites = variant.opts;
                 workload->Setup(config);
                 const float loss = workload->RunTraining(2).final_loss;
                 std::map<std::string, Tensor> variables;

@@ -214,7 +214,7 @@ TEST_F(RuntimeTest, FailingOpReportsNodeName)
     Session session;
     // Pin the kernel-time error path (the static verifier would reject
     // this plan before the kernel ever ran).
-    session.SetVerification(false);
+    session.set_options({.verify = false});
     auto b = session.MakeBuilder();
     const Output x = b.Placeholder("x");
     const Output y = b.MatMul(x, x);

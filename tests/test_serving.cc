@@ -60,7 +60,7 @@ ExpectBitIdentical(const Tensor& a, const Tensor& b, const std::string& what)
 
 std::unique_ptr<Workload>
 MakeServableWorkload(const std::string& name, std::uint64_t seed = 7,
-                     std::int64_t batch_size = 8)
+                     const runtime::ExecutionOptions& execution = {})
 {
     RegisterAllWorkloads();
     auto workload = WorkloadRegistry::Global().Create(name);
@@ -68,8 +68,9 @@ MakeServableWorkload(const std::string& name, std::uint64_t seed = 7,
     config.seed = seed;
     // A common batch cap so the fixed-batch models (seq2seq, speech,
     // memnet) can host every tested coalesced size.
-    config.batch_size = batch_size;
+    config.batch_size = 8;
     config.tracing = false;
+    config.execution = execution;
     workload->Setup(config);
     return workload;
 }
@@ -102,6 +103,65 @@ TEST(FrozenPlanTest, RejectsUndeclaredPlaceholder)
     sig.fetches = {out};
     sig.output_names = {"out"};
     EXPECT_THROW(FrozenPlan::Freeze(session, sig), std::invalid_argument);
+}
+
+TEST(FrozenPlanTest, ThreadWidthsClampToOneInSessionAndFreeze)
+{
+    RegisterAllWorkloads();
+    for (int width : {0, -3}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        const runtime::ExecutionOptions options = {
+            .intra_op_threads = width, .inter_op_threads = width};
+        runtime::Session session(1, options);
+        EXPECT_EQ(session.options().intra_op_threads, 1);
+        EXPECT_EQ(session.options().inter_op_threads, 1);
+        session.set_options(options);
+        EXPECT_EQ(session.options().intra_op_threads, 1);
+        EXPECT_EQ(session.options().inter_op_threads, 1);
+
+        auto b = session.MakeBuilder();
+        const auto x = b.Placeholder("x");
+        InferenceSignature sig;
+        sig.inputs = {{"x", DType::kFloat32, {3}}};
+        sig.fetches = {b.Relu(x)};
+        sig.output_names = {"y"};
+        const auto plan = FrozenPlan::Freeze(session, sig, options);
+        EXPECT_EQ(plan->options().intra_op_threads, 1);
+        EXPECT_EQ(plan->options().inter_op_threads, 1);
+
+        // Both still run on their clamped pools.
+        RequestFeeds request;
+        request["x"] = Tensor(DType::kFloat32, Shape{1, 3});
+        request["x"].Fill(-1.0f);
+        ExpectBitIdentical(session.RunNamed(request, sig.fetches)[0],
+                           plan->ServeOne(request)[0], "clamped run");
+    }
+}
+
+TEST(FrozenPlanTest, FreezeServingPlanUsesTheWorkloadExecutionOptions)
+{
+    auto as_written = MakeServableWorkload(
+        "autoenc", /*seed=*/7,
+        {.inter_op_threads = 2, .graph_rewrites = false});
+    const auto plan = as_written->FreezeServingPlan();
+    EXPECT_EQ(plan->options().inter_op_threads, 2);
+    EXPECT_FALSE(plan->options().graph_rewrites);
+
+    auto rewritten = MakeServableWorkload("autoenc", /*seed=*/7);
+    const auto default_plan = rewritten->FreezeServingPlan();
+    EXPECT_EQ(default_plan->options().inter_op_threads, 1);
+    EXPECT_TRUE(default_plan->options().graph_rewrites);
+
+    // The graph as written runs more steps and serves the same bytes.
+    EXPECT_GT(plan->num_steps(), default_plan->num_steps());
+    const RequestFeeds request = as_written->SampleServingRequest();
+    const auto served = plan->ServeOne(request);
+    const auto expected = default_plan->ServeOne(request);
+    ASSERT_EQ(served.size(), expected.size());
+    for (std::size_t i = 0; i < served.size(); ++i) {
+        ExpectBitIdentical(expected[i], served[i],
+                           "served output " + std::to_string(i));
+    }
 }
 
 TEST(FrozenPlanTest, FrozenWeightsAreImmuneToLiveTraining)
@@ -156,12 +216,10 @@ TEST(FrozenPlanTest, KernelFailurePropagatesAndPlanStaysUsable)
 
     for (int width : {1, 2, 4}) {
         SCOPED_TRACE("inter-op width " + std::to_string(width));
-        FrozenPlanOptions options;
-        options.inter_op_threads = width;
         // Pin the mid-run failure path: the static verifier would reject
         // the mismatched MatMul at freeze time.
-        options.verify = false;
-        const auto plan = FrozenPlan::Freeze(session, sig, options);
+        const auto plan = FrozenPlan::Freeze(
+            session, sig, {.inter_op_threads = width, .verify = false});
 
         const auto failing = feeds_of(4);  // [4,5] x [4,4]: mismatch.
         const auto live_before = BufferPool::Global().stats().live_bytes;
@@ -257,12 +315,11 @@ class SessionVsFrozenBattery
 TEST_P(SessionVsFrozenBattery, SameBytesFromSessionAndFrozenPlan)
 {
     const auto& param = GetParam();
-    auto workload = MakeServableWorkload(param.workload);
+    auto workload = MakeServableWorkload(
+        param.workload, /*seed=*/7,
+        {.inter_op_threads = param.inter_op_threads});
     ASSERT_TRUE(workload->has_serving_endpoint());
-    workload->session().SetInterOpThreads(param.inter_op_threads);
-    FrozenPlanOptions options;
-    options.inter_op_threads = param.inter_op_threads;
-    const auto plan = workload->FreezeServingPlan(options);
+    const auto plan = workload->FreezeServingPlan();
     const InferenceSignature& sig = plan->signature();
 
     // Stack a full batch of sampled requests into batched feeds.
@@ -467,10 +524,10 @@ class ServingConcurrentBattery
 TEST_P(ServingConcurrentBattery, ClientsShareOnePlanWithoutLossOrCorruption)
 {
     const auto& param = GetParam();
-    auto workload = MakeServableWorkload(param.workload);
-    FrozenPlanOptions plan_options;
-    plan_options.inter_op_threads = param.inter_op_threads;
-    const auto plan = workload->FreezeServingPlan(plan_options);
+    auto workload = MakeServableWorkload(
+        param.workload, /*seed=*/7,
+        {.inter_op_threads = param.inter_op_threads});
+    const auto plan = workload->FreezeServingPlan();
 
     constexpr int kClients = 8;
     constexpr int kRequestsPerClient = 6;

@@ -212,7 +212,7 @@ TEST(TelemetryWorkloadTest, MetricsCaptureExecutorAndAllocatorActivity)
 
     workloads::WorkloadConfig config;
     config.batch_size = 2;
-    config.inter_op_threads = 2;
+    config.execution.inter_op_threads = 2;
     config.telemetry = true;
     auto workload = workloads::WorkloadRegistry::Global().Create("alexnet");
     workload->Setup(config);
@@ -283,7 +283,7 @@ TEST_P(RooflineTest, ReportsSaneBoundsForGemmBoundOps)
     options.warmup_steps = 1;
     options.train_steps = 2;
     options.infer_steps = 0;
-    options.batch_size = 2;
+    options.workload.batch_size = 2;
     const auto traces = core::RunAndTrace(name, options);
     const auto report = analysis::BuildRooflineReport(
         traces.training, traces.warmup_steps, runtime::DeviceSpec::Cpu(1));

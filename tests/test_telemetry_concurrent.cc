@@ -130,8 +130,9 @@ TEST(TelemetryConcurrentTest, ConcurrentOpsOverlapOnDistinctWorkerLanes)
     RegisterRendezvousOp();
     Rendezvous::Get().arrived = 0;
 
-    runtime::Session session;
-    session.SetInterOpThreads(2);
+    // As written: each rendezvous op must run as its own step.
+    runtime::Session session(
+        1, {.inter_op_threads = 2, .graph_rewrites = false});
     auto b = session.MakeBuilder();
     const Output x = b.Placeholder("x");
     const graph::NodeId r1 = b.AddNode("r1", "TestRendezvous", {x});
@@ -196,8 +197,7 @@ TEST(TelemetryConcurrentTest, DeterministicObservablesMatchAcrossWidths)
         telemetry::MetricsRegistry::Global().ResetAll();
         telemetry::MetricsRegistry::set_enabled(true);
 
-        runtime::Session session(/*seed=*/7);
-        session.SetInterOpThreads(width);
+        runtime::Session session(/*seed=*/7, {.inter_op_threads = width});
         session.tracer().set_enabled(true);
         auto b = session.MakeBuilder();
         const Output x = b.Placeholder("x");

@@ -120,8 +120,8 @@ TEST(TracerConcurrentTest, CopyDetachesFromSource)
 TEST(TracerConcurrentTest, ParallelExecutorTracesEveryNodeOnce)
 {
     ops::RegisterStandardOps();
-    Session session;
-    session.SetInterOpThreads(4);
+    // As written: the test counts one record per node it built.
+    Session session(1, {.inter_op_threads = 4, .graph_rewrites = false});
     auto b = session.MakeBuilder();
     const Output x = b.Placeholder("x");
     const Output a = b.Relu(x);

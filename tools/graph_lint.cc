@@ -19,30 +19,16 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/table.h"
 #include "graph/verify/verifier.h"
 #include "workloads/workload.h"
 
 namespace {
 
 using namespace fathom;
-
-std::vector<std::string>
-SplitCsv(const std::string& csv)
-{
-    std::vector<std::string> parts;
-    std::stringstream stream(csv);
-    std::string part;
-    while (std::getline(stream, part, ',')) {
-        if (!part.empty()) {
-            parts.push_back(part);
-        }
-    }
-    return parts;
-}
 
 /** Lints one workload; @return its total violation count. */
 int
@@ -103,7 +89,7 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--workloads=", 0) == 0) {
-            names = SplitCsv(arg.substr(12));
+            names = core::SplitCsv(arg.substr(12));
         } else if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(6);
         } else {
