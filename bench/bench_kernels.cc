@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <string>
 
 #include "kernels/conv2d.h"
 #include "kernels/ctc.h"
@@ -249,6 +250,15 @@ BM_GemmThreadSweep(benchmark::State& state)
 }
 BENCHMARK(BM_GemmThreadSweep)->Arg(1)->Arg(2)->Arg(4);
 
+/** 2 * M * K * N for the im2col GEMM of one convolution pass. */
+double
+ConvFlops(const kernels::Conv2DGeometry& g)
+{
+    return 2.0 * static_cast<double>(g.batch * g.out_h * g.out_w) *
+           static_cast<double>(g.k_h * g.k_w * g.in_c) *
+           static_cast<double>(g.out_c);
+}
+
 void
 BM_Conv2D(benchmark::State& state)
 {
@@ -261,7 +271,9 @@ BM_Conv2D(benchmark::State& state)
         benchmark::DoNotOptimize(kernels::Conv2D(
             input, filter, 1, kernels::Padding::kSame, pool));
     }
-    state.SetItemsProcessed(state.iterations() * 2 * hw * hw * 9 * c * c);
+    SetGemmCounters(state, ConvFlops(kernels::ResolveConv2D(
+                               input.shape(), filter.shape(), 1,
+                               kernels::Padding::kSame)));
 }
 BENCHMARK(BM_Conv2D)->Args({16, 8})->Args({32, 8})->Args({32, 16})->Args({64, 16});
 
@@ -277,8 +289,84 @@ BM_Conv2DBackpropFilter(benchmark::State& state)
         benchmark::DoNotOptimize(kernels::Conv2DBackpropFilter(
             input, filter_shape, grad, 1, kernels::Padding::kSame, pool));
     }
+    SetGemmCounters(state, ConvFlops(kernels::ResolveConv2D(
+                               input.shape(), filter_shape, 1,
+                               kernels::Padding::kSame)));
 }
 BENCHMARK(BM_Conv2DBackpropFilter)->Arg(16)->Arg(32);
+
+/**
+ * residual's convolutions at batch 8 (src/workloads/residual.cc), all
+ * SAME: the stem, the first stride-2 3x3 of stage 2 with its 1x1
+ * stride-2 projection, and the widest layer of stage 4. Each runs as
+ * forward, input gradient and filter gradient, registered as
+ * BM_Conv2D/<name>, BM_Conv2DBackpropInput/<name> and
+ * BM_Conv2DBackpropFilter/<name>.
+ */
+struct ConvLayer {
+    const char* name;
+    std::int64_t hw, in_c, out_c, k, stride;
+};
+constexpr ConvLayer kResidualConvs[] = {
+    {"stem_32x32x3_to_8", 32, 3, 8, 3, 1},
+    {"32x32x8_to_16_s2", 32, 8, 16, 3, 2},
+    {"proj1x1_32x32x8_to_16_s2", 32, 8, 16, 1, 2},
+    {"4x4x64_to_64", 4, 64, 64, 3, 1},
+};
+constexpr std::int64_t kConvBatch = 8;
+
+enum class ConvPass { kForward, kBackpropInput, kBackpropFilter };
+
+void
+BM_ConvLayer(benchmark::State& state, ConvLayer layer, ConvPass pass)
+{
+    parallel::ThreadPool pool(1);
+    const Shape in_shape{kConvBatch, layer.hw, layer.hw, layer.in_c};
+    const Shape filter_shape{layer.k, layer.k, layer.in_c, layer.out_c};
+    const auto g = kernels::ResolveConv2D(in_shape, filter_shape,
+                                          layer.stride,
+                                          kernels::Padding::kSame);
+    const Tensor input = MakeTensor(in_shape, 7);
+    const Tensor filter = MakeTensor(filter_shape, 8);
+    const Tensor grad =
+        MakeTensor(Shape{g.batch, g.out_h, g.out_w, g.out_c}, 9);
+    for (auto _ : state) {
+        switch (pass) {
+        case ConvPass::kForward:
+            benchmark::DoNotOptimize(kernels::Conv2D(
+                input, filter, layer.stride, kernels::Padding::kSame, pool));
+            break;
+        case ConvPass::kBackpropInput:
+            benchmark::DoNotOptimize(kernels::Conv2DBackpropInput(
+                in_shape, filter, grad, layer.stride, kernels::Padding::kSame,
+                pool));
+            break;
+        case ConvPass::kBackpropFilter:
+            benchmark::DoNotOptimize(kernels::Conv2DBackpropFilter(
+                input, filter_shape, grad, layer.stride,
+                kernels::Padding::kSame, pool));
+            break;
+        }
+    }
+    SetGemmCounters(state, ConvFlops(g));
+}
+
+const bool kConvLayersRegistered = [] {
+    const struct {
+        const char* family;
+        ConvPass pass;
+    } passes[] = {{"BM_Conv2D", ConvPass::kForward},
+                  {"BM_Conv2DBackpropInput", ConvPass::kBackpropInput},
+                  {"BM_Conv2DBackpropFilter", ConvPass::kBackpropFilter}};
+    for (const auto& p : passes) {
+        for (const ConvLayer& layer : kResidualConvs) {
+            benchmark::RegisterBenchmark(
+                (std::string(p.family) + "/" + layer.name).c_str(),
+                BM_ConvLayer, layer, p.pass);
+        }
+    }
+    return true;
+}();
 
 void
 BM_MaxPool(benchmark::State& state)

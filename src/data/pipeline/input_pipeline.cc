@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "telemetry/metrics.h"
+#include "tensor/buffer_pool.h"
 
 namespace fathom::data {
 
@@ -94,6 +95,9 @@ InputPipeline::Stop()
 void
 InputPipeline::ProducerLoop(std::size_t producer_index)
 {
+    // Batches made here overlap the consumer's steps; keep their
+    // buffer requests out of those steps' allocator counts.
+    const BufferPool::BackgroundScope background;
     runtime::Tracer* tracer = options_.tracer;
     const int lane =
         producer_index < lanes_.size()

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 
+#include "kernels/gemm.h"
 #include "parallel/thread_pool.h"
 #include "tensor/tensor.h"
 
@@ -47,6 +48,43 @@ struct Conv2DGeometry {
  */
 Conv2DGeometry ResolveConv2D(const Shape& input, const Shape& filter,
                              std::int64_t stride, Padding padding);
+
+/*
+ * The im2col view of a convolution, shared by all three kernels:
+ * the patch matrix P has M = batch * out_h * out_w rows (one output
+ * pixel each) and K = k_h * k_w * in_c columns (one filter tap each,
+ * in (kh, kw, c) order), with out-of-image taps reading as zero. Then
+ *
+ *   forward:      out  [M, oc] = P [M, K] * W [K, oc]
+ *   filter grad:  gW   [K, oc] = P^T [K, M] * gOut [M, oc]
+ *   input grad:   Gcol [M, K]  = gOut [M, oc] * W^T [oc, K],
+ *                 then col2im-scatters Gcol back onto the image.
+ *
+ * W is the filter tensor itself: [kh, kw, ic, oc] row-major is already
+ * the [K, oc] matrix. P is never materialized for the two GEMMs that
+ * read it: the engine's pack step reads straight from the padded
+ * image through the two packers below.
+ *
+ * Both packers fill one panel row at a time and move runs, not single
+ * elements. One bounds test covers a whole run (a filter row's taps,
+ * or an output row's pixels), after which the run is a plain copy or
+ * a zero fill. A source index is formed only for an in-image run
+ * start, never as an out-of-image position plus an offset.
+ */
+
+/**
+ * @return the A packer for P [M, K] (forward GEMM) over the NHWC image
+ * @p in. A run is the in-image part of one filter row (fixed kh):
+ * k_w * in_c taps that are consecutive floats of one input row.
+ */
+PanelPacker Im2colPackA(const float* in, const Conv2DGeometry& g);
+
+/**
+ * @return the A packer for P^T [K, M] (filter-gradient GEMM) over the
+ * NHWC image @p in. A run is the in-image part of one output row
+ * (fixed n, oh) for one tap, gathered with stride `stride * in_c`.
+ */
+PanelPacker Im2colPackAT(const float* in, const Conv2DGeometry& g);
 
 /**
  * Forward convolution.

@@ -138,7 +138,9 @@ Session::Run(const FeedMap& feeds, const std::vector<graph::Output>& fetches,
     // Allocator activity is attributed to the step as counter deltas;
     // the peak is the pool-wide live-byte high-water mark while this
     // step ran (concurrent sessions share the pool, so attribution is
-    // per-process, not per-session).
+    // per-process, not per-session). Input-pipeline producers allocate
+    // inside a BufferPool::BackgroundScope, so batches they make while
+    // the step runs are not counted as the step's requests.
     BufferPool& buffer_pool = BufferPool::Global();
     const BufferPool::Stats mem_before = buffer_pool.stats();
     buffer_pool.ResetPeak();

@@ -29,6 +29,9 @@ struct PoolMetrics {
     }
 };
 
+/** True while the calling thread is inside a BackgroundScope. */
+thread_local bool t_background = false;
+
 /** @return the bucket index whose size is the smallest power of two
  * holding @p bytes (minimum 64 bytes, one cache line). */
 int
@@ -55,6 +58,16 @@ struct BufferPoolDeleter {
     }
 };
 
+BufferPool::BackgroundScope::BackgroundScope() : was_background_(t_background)
+{
+    t_background = true;
+}
+
+BufferPool::BackgroundScope::~BackgroundScope()
+{
+    t_background = was_background_;
+}
+
 BufferPool&
 BufferPool::Global()
 {
@@ -70,8 +83,6 @@ BufferPool::Allocate(std::size_t bytes, bool* from_pool)
     const int bucket = BucketIndex(std::max<std::size_t>(bytes, 1));
     const std::size_t bucket_bytes = std::size_t{1} << bucket;
 
-    allocations_.fetch_add(1, std::memory_order_relaxed);
-
     char* block = nullptr;
     if (recycling_.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> lock(mu_);
@@ -83,11 +94,16 @@ BufferPool::Allocate(std::size_t bytes, bool* from_pool)
     }
     const bool hit = block != nullptr;
     if (hit) {
-        pool_hits_.fetch_add(1, std::memory_order_relaxed);
         pooled_bytes_.fetch_sub(bucket_bytes, std::memory_order_relaxed);
     } else {
         block = new char[bucket_bytes];
-        fresh_allocs_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (t_background) {
+        background_allocations_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        allocations_.fetch_add(1, std::memory_order_relaxed);
+        (hit ? pool_hits_ : fresh_allocs_)
+            .fetch_add(1, std::memory_order_relaxed);
     }
     if (from_pool != nullptr) {
         *from_pool = hit;
@@ -142,6 +158,8 @@ BufferPool::stats() const
     s.allocations = allocations_.load(std::memory_order_relaxed);
     s.fresh_allocs = fresh_allocs_.load(std::memory_order_relaxed);
     s.pool_hits = pool_hits_.load(std::memory_order_relaxed);
+    s.background_allocations =
+        background_allocations_.load(std::memory_order_relaxed);
     s.live_bytes = live_bytes_.load(std::memory_order_relaxed);
     s.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
     s.pooled_bytes = pooled_bytes_.load(std::memory_order_relaxed);

@@ -17,6 +17,11 @@
  * and fresh-allocation counts, pool hits, live bytes, and a resettable
  * live-byte high-water mark. Counters are atomics and free lists are
  * mutex-protected, so the pool is safe under the inter-op executor.
+ *
+ * Requests made on a thread inside a BackgroundScope (input-pipeline
+ * producers) are served the same way but counted apart, so a step's
+ * request/fresh/hit deltas cover the step's own work only and do not
+ * depend on how far a producer ran ahead while the step ran.
  */
 #ifndef FATHOM_TENSOR_BUFFER_POOL_H
 #define FATHOM_TENSOR_BUFFER_POOL_H
@@ -34,9 +39,12 @@ class BufferPool {
   public:
     /** Counter snapshot; byte figures use rounded bucket sizes. */
     struct Stats {
-        std::uint64_t allocations = 0;   ///< total requests served.
-        std::uint64_t fresh_allocs = 0;  ///< served by operator new[].
-        std::uint64_t pool_hits = 0;     ///< served from a free list.
+        /// Requests served, outside any BackgroundScope.
+        std::uint64_t allocations = 0;
+        std::uint64_t fresh_allocs = 0;  ///< of those, by operator new[].
+        std::uint64_t pool_hits = 0;     ///< of those, from a free list.
+        /// Requests served inside a BackgroundScope.
+        std::uint64_t background_allocations = 0;
         std::uint64_t live_bytes = 0;    ///< bytes in outstanding blocks.
         std::uint64_t peak_bytes = 0;    ///< live-byte high-water mark.
         std::uint64_t pooled_bytes = 0;  ///< bytes parked in free lists.
@@ -44,6 +52,22 @@ class BufferPool {
 
     /** @return the process-wide pool (never destroyed). */
     static BufferPool& Global();
+
+    /**
+     * While alive, the calling thread's requests count as background
+     * work: they go to Stats::background_allocations instead of the
+     * request/fresh/hit counters. Nests; affects only this thread.
+     */
+    class BackgroundScope {
+      public:
+        BackgroundScope();
+        ~BackgroundScope();
+        BackgroundScope(const BackgroundScope&) = delete;
+        BackgroundScope& operator=(const BackgroundScope&) = delete;
+
+      private:
+        bool was_background_;
+    };
 
     BufferPool() = default;
     BufferPool(const BufferPool&) = delete;
@@ -96,6 +120,7 @@ class BufferPool {
     std::atomic<std::uint64_t> allocations_{0};
     std::atomic<std::uint64_t> fresh_allocs_{0};
     std::atomic<std::uint64_t> pool_hits_{0};
+    std::atomic<std::uint64_t> background_allocations_{0};
     std::atomic<std::uint64_t> live_bytes_{0};
     std::atomic<std::uint64_t> peak_bytes_{0};
     std::atomic<std::uint64_t> pooled_bytes_{0};

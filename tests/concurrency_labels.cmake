@@ -80,3 +80,16 @@ foreach(test IN LISTS observability_TESTS)
             LABELS "tier1;observability")
     endif()
 endforeach()
+foreach(test IN LISTS fathom_tests_TESTS)
+    # Two paper-shape tests judge wall-clock ratios whose margins
+    # narrowed once convolution got faster: Fig. 4's vgg-residual
+    # profile distance (median ~0.005 -> ~0.021, bound 0.05) and Sec.
+    # V-A's framework share of residual's step (0.022-0.026 ->
+    # 0.034-0.043, bound 0.05). Under `ctest -j` the other tests slow
+    # the framework and the memory-bound ops more than the
+    # convolutions, which shifts every repetition the same way, so
+    # these two run alone.
+    if(test MATCHES "PaperShapes\\.(Fig4_|SecVA_)")
+        set_tests_properties("${test}" PROPERTIES RUN_SERIAL TRUE)
+    endif()
+endforeach()

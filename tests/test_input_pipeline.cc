@@ -23,6 +23,7 @@
 #include "ops/register.h"
 #include "runtime/tracer.h"
 #include "telemetry/metrics.h"
+#include "tensor/buffer_pool.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "workloads/workload.h"
@@ -537,6 +538,57 @@ TEST(InputPipelineWorkloadTest, AllWorkloadsBitIdenticalBattery)
             }
         }
     }
+}
+
+/**
+ * A step's allocator counts cover the step's own buffer requests only.
+ * With prefetch on, the producer thread materializes later batches
+ * while a step runs; its requests must not land in that step's counts
+ * (they did, and moved residual's count by up to 4 between steps).
+ * So residual's per-step request count is the same on every training
+ * step after the first, and the same at prefetch depth 0 (batches made
+ * inline, between steps) and depth 2.
+ */
+TEST(InputPipelineWorkloadTest, StepAllocatorCountsExcludeProducerRequests)
+{
+    ops::RegisterStandardOps();
+    workloads::RegisterAllWorkloads();
+    constexpr int kSteps = 6;
+    auto requests_per_step = [](int depth) {
+        auto workload =
+            workloads::WorkloadRegistry::Global().Create("residual");
+        workloads::WorkloadConfig config;
+        config.seed = 5;
+        config.tracing = true;
+        config.prefetch_depth = depth;
+        workload->Setup(config);
+        workload->session().tracer().Clear();
+        // One step per call, as bench_suite's traced window runs them:
+        // each call starts a fresh pipeline whose producer runs ahead
+        // into the step.
+        for (int i = 0; i < kSteps; ++i) {
+            workload->RunTraining(1);
+        }
+        const auto& steps = workload->session().tracer().steps();
+        EXPECT_EQ(steps.size(), static_cast<std::size_t>(kSteps));
+        // The first step plans; the rest are steady.
+        std::vector<std::uint64_t> requests;
+        for (std::size_t i = 1; i < steps.size(); ++i) {
+            requests.push_back(steps[i].memory.allocations);
+        }
+        return requests;
+    };
+    const std::vector<std::uint64_t> inline_requests = requests_per_step(0);
+    ASSERT_FALSE(inline_requests.empty());
+    EXPECT_EQ(inline_requests,
+              std::vector<std::uint64_t>(inline_requests.size(),
+                                         inline_requests[0]));
+    const std::uint64_t background_before =
+        BufferPool::Global().stats().background_allocations;
+    EXPECT_EQ(requests_per_step(2), inline_requests);
+    // The producers did allocate; their requests were counted apart.
+    EXPECT_GT(BufferPool::Global().stats().background_allocations,
+              background_before);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analysis/op_profile.h"
 #include "analysis/scaling.h"
 #include "analysis/similarity.h"
@@ -110,16 +112,30 @@ TEST(PaperShapes, Fig3_FullyConnectedShareVanishesAcrossIlsvrcWinners)
 
 TEST(PaperShapes, Fig4_ConvClusterTighterThanRecurrentPair)
 {
-    std::vector<OpProfile> profiles;
-    std::vector<std::string> names = {"vgg", "residual", "speech",
-                                      "seq2seq"};
-    for (const auto& name : names) {
-        profiles.push_back(TrainProfile(name));
+    // Each distance comes from two steps of wall-clock op time, so one
+    // preempted op (a few ms) on a shared host moves it. The test
+    // judges the median over five interleaved repetitions, in which a
+    // single hiccup cannot decide the outcome.
+    constexpr int kReps = 5;
+    std::vector<double> conv_pairs;
+    std::vector<double> recurrent_pairs;
+    for (int rep = 0; rep < kReps; ++rep) {
+        std::vector<OpProfile> profiles;
+        for (const std::string name :
+             {"vgg", "residual", "speech", "seq2seq"}) {
+            profiles.push_back(TrainProfile(name));
+        }
+        const auto matrix = analysis::ProfileMatrix(profiles);
+        conv_pairs.push_back(analysis::CosineDistance(matrix[0], matrix[1]));
+        recurrent_pairs.push_back(
+            analysis::CosineDistance(matrix[2], matrix[3]));
     }
-    const auto matrix = analysis::ProfileMatrix(profiles);
-    const double conv_pair = analysis::CosineDistance(matrix[0], matrix[1]);
-    const double recurrent_pair =
-        analysis::CosineDistance(matrix[2], matrix[3]);
+    auto median = [](std::vector<double> v) {
+        std::nth_element(v.begin(), v.begin() + kReps / 2, v.end());
+        return v[kReps / 2];
+    };
+    const double conv_pair = median(conv_pairs);
+    const double recurrent_pair = median(recurrent_pairs);
     EXPECT_LT(conv_pair, recurrent_pair);
     EXPECT_LT(conv_pair, 0.05);  // "tightly clustered".
 }
