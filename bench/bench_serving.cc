@@ -281,7 +281,6 @@ main(int argc, char** argv)
         auto workload = workloads::WorkloadRegistry::Global().Create(name);
         workloads::WorkloadConfig config;
         config.seed = 42;
-        config.batch_size = 8;  // hosts every swept max_batch.
         config.tracing = false;
         workload->Setup(config);
         const auto plan = workload->FreezeServingPlan();

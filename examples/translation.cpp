@@ -57,12 +57,16 @@ main()
     const graph::Output dec_in = b.Placeholder("dec_in");
     const graph::Output dec_tgt = b.Placeholder("dec_tgt");
 
-    nn::LstmState state = encoder.ZeroState(b, kBatch);
+    std::vector<graph::Output> src_embedded;
     for (std::int64_t t = 0; t < kSrcLen; ++t) {
         const graph::Output token =
             b.Reshape(b.Slice(source, {0, t}, {-1, 1}), {-1});
-        state = encoder.Step(b, b.Gather(embedding, token), state);
+        src_embedded.push_back(b.Gather(embedding, token));
     }
+    // The zero state takes its batch from the source feed, so the same
+    // encoder also reads one sentence at decode time.
+    const nn::LstmState state =
+        nn::RunLstmStack(b, {encoder}, src_embedded).final_states[0];
     std::vector<graph::Output> step_logits;
     nn::LstmState dec_state = state;
     for (std::int64_t t = 0; t < kTgtLen - 1; ++t) {
@@ -78,13 +82,6 @@ main()
     const graph::NodeId train_op = nn::Minimize(b, loss, params, optimizer);
 
     // ---- stepwise decode graph (batch 1, weights shared) ----------------
-    const graph::Output one_source = b.Placeholder("one_source");  // [1, S]
-    nn::LstmState enc1 = encoder.ZeroState(b, 1);
-    for (std::int64_t t = 0; t < kSrcLen; ++t) {
-        const graph::Output token =
-            b.Reshape(b.Slice(one_source, {0, t}, {-1, 1}), {-1});
-        enc1 = encoder.Step(b, b.Gather(embedding, token), enc1);
-    }
     const graph::Output step_token = b.Placeholder("step_token");  // [1]
     const graph::Output step_h = b.Placeholder("step_h");          // [1, H]
     const graph::Output step_c = b.Placeholder("step_c");
@@ -127,14 +124,13 @@ main()
     for (int trial = 0; trial < 20; ++trial) {
         const auto batch = dataset.NextBatch(1);
         runtime::FeedMap enc_feeds;
-        enc_feeds[one_source.node] = batch.source;
-        auto hc = session.Run(enc_feeds, {enc1.h, enc1.c});
+        enc_feeds[source.node] = batch.source;  // [1, S]
+        auto hc = session.Run(enc_feeds, {state.h, state.c});
 
         std::int32_t token = data::kGoToken;
         std::vector<std::int32_t> decoded;
         for (std::int64_t t = 0; t < kTgtLen - 1; ++t) {
             runtime::FeedMap feeds;
-            feeds[one_source.node] = batch.source;  // unused but cheap.
             feeds[step_token.node] = Tensor::FromVectorInt(Shape{1}, {token});
             feeds[step_h.node] = hc[0];
             feeds[step_c.node] = hc[1];

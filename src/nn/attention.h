@@ -37,12 +37,11 @@ class AdditiveAttention {
      *
      * @param enc_states per-step encoder outputs, each [batch, enc_dim].
      * @param query      decoder hidden state [batch, query_dim].
-     * @param batch      batch size.
      * @return           context vector [batch, enc_dim].
      */
     graph::Output Context(graph::GraphBuilder& builder,
                           const std::vector<graph::Output>& enc_states,
-                          graph::Output query, std::int64_t batch) const;
+                          graph::Output query) const;
 
   private:
     std::string name_;

@@ -52,23 +52,26 @@ LstmCell::Step(GraphBuilder& builder, Output x, const LstmState& state) const
 }
 
 LstmState
-LstmCell::ZeroState(GraphBuilder& builder, std::int64_t batch) const
+LstmCell::ZeroState(GraphBuilder& builder, Output like) const
 {
-    LstmState state;
-    state.h = builder.Const(Tensor::Zeros(Shape{batch, hidden_dim_}),
-                            name_ + "_h0");
-    state.c = builder.Const(Tensor::Zeros(Shape{batch, hidden_dim_}),
-                            name_ + "_c0");
-    return state;
+    graph::ScopeGuard scope(builder, name_ + "_zero_state");
+    // [B, 1] zeros from like's first column, widened to [B, hidden].
+    const Output column = builder.AddOp(
+        "zeros_like", "ZerosLike", {builder.Slice(like, {0, 0}, {-1, 1})});
+    const Output zeros = builder.Tile(column, {1, hidden_dim_});
+    return {zeros, zeros};
 }
 
 LstmStackResult
 RunLstmStack(GraphBuilder& builder, const std::vector<LstmCell>& cells,
-             const std::vector<Output>& inputs, std::int64_t batch,
+             const std::vector<Output>& inputs,
              const std::vector<LstmState>* initial_states)
 {
     if (cells.empty()) {
         throw std::invalid_argument("RunLstmStack: no cells");
+    }
+    if (inputs.empty()) {
+        throw std::invalid_argument("RunLstmStack: no inputs");
     }
     std::vector<LstmState> states;
     if (initial_states != nullptr) {
@@ -79,7 +82,7 @@ RunLstmStack(GraphBuilder& builder, const std::vector<LstmCell>& cells,
         states = *initial_states;
     } else {
         for (const LstmCell& cell : cells) {
-            states.push_back(cell.ZeroState(builder, batch));
+            states.push_back(cell.ZeroState(builder, inputs.front()));
         }
     }
 

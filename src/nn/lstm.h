@@ -46,9 +46,12 @@ class LstmCell {
     LstmState Step(graph::GraphBuilder& builder, graph::Output x,
                    const LstmState& state) const;
 
-    /** @return an all-zero initial state for @p batch sequences. */
+    /**
+     * @return an all-zero initial state with as many rows as @p like
+     *         (any [batch, ...] edge), so the batch comes from the feed.
+     */
     LstmState ZeroState(graph::GraphBuilder& builder,
-                        std::int64_t batch) const;
+                        graph::Output like) const;
 
     std::int64_t hidden_dim() const { return hidden_dim_; }
 
@@ -63,7 +66,9 @@ class LstmCell {
 /**
  * A stack of LSTM layers unrolled over a fixed-length input sequence.
  *
- * @param inputs one [batch, input_dim] edge per time step.
+ * @param inputs one [batch, input_dim] edge per time step; without
+ *        @p initial_states the zero states take their batch from the
+ *        first.
  * @return per-step outputs of the top layer, plus the final state of
  *         each layer (for decoder initialization).
  */
@@ -75,7 +80,6 @@ struct LstmStackResult {
 LstmStackResult RunLstmStack(graph::GraphBuilder& builder,
                              const std::vector<LstmCell>& cells,
                              const std::vector<graph::Output>& inputs,
-                             std::int64_t batch,
                              const std::vector<LstmState>* initial_states =
                                  nullptr);
 

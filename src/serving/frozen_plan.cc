@@ -1,6 +1,5 @@
 #include "serving/frozen_plan.h"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <unordered_map>
@@ -177,20 +176,17 @@ FrozenPlan::Freeze(const runtime::Session& session,
 
     // Static verification of the frozen executable: every request will
     // run this exact plan, so prove it once here. Placeholder types are
-    // seeded from the declared TensorSpecs with the serving batch
-    // prepended (fixed_batch when the graph bakes one in, else 1 — any
-    // larger batch only scales the leading dim, which no shape fn
-    // constrains against the graph's weights).
+    // seeded from the declared TensorSpecs at batch 1 (any larger batch
+    // only scales the leading dim, which no shape fn constrains against
+    // the graph's weights).
     if (options.verify) {
         graph::verify::VerifyOptions vopts;
         vopts.variables = &snapshot;
         vopts.frozen = true;
-        const std::int64_t batch =
-            signature.fixed_batch > 0 ? signature.fixed_batch : 1;
         for (const TensorSpec& spec : signature.inputs) {
             vopts.feed_types[plan->input_nodes_.at(spec.name)] =
                 graph::verify::TypeInfo::Of(
-                    spec.dtype, BatchedShape(batch, spec.example_dims));
+                    spec.dtype, BatchedShape(1, spec.example_dims));
         }
         const graph::verify::PlanFacts facts = runtime::FactsOf(plan->plan_);
         graph::verify::VerifyOrThrow(plan->graph_, fetches, /*targets=*/{},
@@ -244,7 +240,7 @@ std::vector<Tensor>
 FrozenPlan::Run(const std::map<std::string, Tensor>& feeds) const
 {
     // Resolve the batch from the first declared input and validate
-    // every feed against it (and against the plan's fixed batch).
+    // every feed against it.
     if (signature_.inputs.empty()) {
         throw std::logic_error("FrozenPlan::Run: plan declares no inputs");
     }
@@ -255,12 +251,6 @@ FrozenPlan::Run(const std::map<std::string, Tensor>& feeds) const
                                     signature_.inputs.front().name + "'");
     }
     const std::int64_t batch = first->second.shape().dims()[0];
-    if (signature_.fixed_batch > 0 && batch != signature_.fixed_batch) {
-        throw std::invalid_argument(
-            "FrozenPlan::Run: plan was frozen at fixed batch " +
-            std::to_string(signature_.fixed_batch) + ", got " +
-            std::to_string(batch));
-    }
 
     runtime::FeedMap by_node;
     for (const TensorSpec& spec : signature_.inputs) {
@@ -289,34 +279,23 @@ FrozenPlan::ServeBatch(const std::vector<const RequestFeeds*>& requests) const
     if (n == 0) {
         return {};
     }
-    const std::int64_t padded =
-        signature_.fixed_batch > 0 ? signature_.fixed_batch : n;
-    if (n > padded) {
-        throw std::invalid_argument(
-            "FrozenPlan::ServeBatch: " + std::to_string(n) +
-            " requests exceed the fixed plan batch " +
-            std::to_string(padded));
-    }
 
     for (const RequestFeeds* request : requests) {
         CheckRequest(*request);
     }
 
-    // Gather: stack each input along a fresh batch dimension; padding
-    // rows replicate the first request (row independence makes their
-    // content irrelevant to real rows; replication keeps them inside
-    // every kernel's well-conditioned input range).
+    // Gather: stack each input along a fresh batch dimension.
     std::map<std::string, Tensor> feeds;
     for (const TensorSpec& spec : signature_.inputs) {
-        Tensor batched(spec.dtype, BatchedShape(padded, spec.example_dims));
+        Tensor batched(spec.dtype, BatchedShape(n, spec.example_dims));
         const std::size_t row_bytes =
-            batched.byte_size() / static_cast<std::size_t>(padded);
+            batched.byte_size() / static_cast<std::size_t>(n);
         char* dst = RawBytes(batched);
-        for (std::int64_t i = 0; i < padded; ++i) {
-            const RequestFeeds& request =
-                *requests[static_cast<std::size_t>(std::min(i, n - 1))];
+        for (std::int64_t i = 0; i < n; ++i) {
             std::memcpy(dst + static_cast<std::size_t>(i) * row_bytes,
-                        RawBytes(request.at(spec.name)), row_bytes);
+                        RawBytes(requests[static_cast<std::size_t>(i)]->at(
+                            spec.name)),
+                        row_bytes);
         }
         feeds.emplace(spec.name, std::move(batched));
     }
@@ -324,7 +303,7 @@ FrozenPlan::ServeBatch(const std::vector<const RequestFeeds*>& requests) const
     const std::vector<Tensor> batched_outputs = Run(feeds);
 
     // Scatter: slice row i of every batch-major output back to
-    // request i; padding rows are dropped.
+    // request i.
     std::vector<std::vector<Tensor>> per_request(
         static_cast<std::size_t>(n));
     for (auto& outputs : per_request) {
@@ -333,17 +312,17 @@ FrozenPlan::ServeBatch(const std::vector<const RequestFeeds*>& requests) const
     for (std::size_t f = 0; f < batched_outputs.size(); ++f) {
         const Tensor& out = batched_outputs[f];
         const auto& dims = out.shape().dims();
-        if (dims.empty() || dims[0] != padded) {
+        if (dims.empty() || dims[0] != n) {
             throw std::logic_error(
                 "FrozenPlan::ServeBatch: output '" +
                 signature_.output_names[f] +
                 "' is not batch-major (shape " + out.DebugString() +
-                ", batch " + std::to_string(padded) + ")");
+                ", batch " + std::to_string(n) + ")");
         }
         std::vector<std::int64_t> row_dims(dims.begin(), dims.end());
         row_dims[0] = 1;
         const std::size_t row_bytes =
-            out.byte_size() / static_cast<std::size_t>(padded);
+            out.byte_size() / static_cast<std::size_t>(n);
         const char* src = RawBytes(out);
         for (std::int64_t i = 0; i < n; ++i) {
             Tensor row(out.dtype(), Shape(row_dims));

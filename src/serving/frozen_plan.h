@@ -56,20 +56,14 @@ struct TensorSpec {
 };
 
 /**
- * A model's servable endpoint, declared against its live session.
- *
- * `fixed_batch` handles graphs whose structure bakes in the batch size
- * (unrolled recurrence with constant initial state, explicit Tile or
- * Reshape by batch): 0 means the graph accepts any leading batch
- * dimension; a positive value means every execution must be padded to
- * exactly that many rows (the dynamic batcher pads short batches and
- * discards the padding rows on scatter).
+ * A model's servable endpoint, declared against its live session. The
+ * graph must accept any leading batch dimension: every op computes
+ * each batch row independently, so a plan serves any number of rows.
  */
 struct InferenceSignature {
     std::vector<TensorSpec> inputs;
     std::vector<graph::Output> fetches;     ///< in the source graph.
     std::vector<std::string> output_names;  ///< parallel to fetches.
-    std::int64_t fixed_batch = 0;
 };
 
 /** Feeds for one single-example request: name -> [1, ...] tensor. */
@@ -86,8 +80,8 @@ class FrozenPlan {
      * constants (weights are snapshotted), so whole weight-only
      * expressions fold at freeze time. With verify on, the plan is
      * statically verified once here, its placeholders seeded from the
-     * signature's TensorSpecs (batch = fixed_batch, or 1 for
-     * batch-flexible graphs) under the frozen-mode determinism lint.
+     * signature's TensorSpecs at batch 1 under the frozen-mode
+     * determinism lint.
      *
      * @throws std::invalid_argument if the subgraph contains a
      *         stateful op (sampling, variable update), if a reachable
@@ -103,7 +97,6 @@ class FrozenPlan {
     FrozenPlan& operator=(const FrozenPlan&) = delete;
 
     const InferenceSignature& signature() const { return signature_; }
-    std::int64_t fixed_batch() const { return signature_.fixed_batch; }
     /** @return the knobs frozen in, thread widths clamped to >= 1. */
     const runtime::ExecutionOptions& options() const
     {
@@ -127,7 +120,7 @@ class FrozenPlan {
      *
      * Thread-safe and reentrant: concurrent calls share only immutable
      * plan state, the buffer pool, and the (internally synchronized)
-     * thread pool. @p batch must equal fixed_batch when one is set.
+     * thread pool. Every input must have the same leading batch.
      *
      * @return the fetched tensors, in signature order.
      */
@@ -135,10 +128,9 @@ class FrozenPlan {
 
     /**
      * Serves a coalesced batch of single-example requests: stacks each
-     * input along a new leading batch dimension (padding to
-     * fixed_batch by replicating the first request when the graph
-     * demands it), executes once, and slices each output row back to
-     * its request.
+     * input along a new leading batch dimension of exactly
+     * requests.size() rows, executes once, and slices each output row
+     * back to its request.
      *
      * Per-request results are bit-identical to serving the request in
      * any other batch composition — the equivalence battery in

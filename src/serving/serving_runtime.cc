@@ -18,7 +18,6 @@ struct ServingMetrics {
     telemetry::Counter& rejected;
     telemetry::Counter& failed;
     telemetry::Counter& batches;
-    telemetry::Counter& padded_rows;
     telemetry::Histogram& batch_size;
     telemetry::Histogram& queue_depth;
     telemetry::Histogram& queue_us;
@@ -33,7 +32,6 @@ struct ServingMetrics {
             reg.GetCounter("serving.rejected"),
             reg.GetCounter("serving.failed"),
             reg.GetCounter("serving.batches"),
-            reg.GetCounter("serving.padded_rows"),
             reg.GetHistogram("serving.batch_size"),
             reg.GetHistogram("serving.queue_depth"),
             reg.GetHistogram("serving.queue_us"),
@@ -55,16 +53,8 @@ ElapsedMicros(std::chrono::steady_clock::time_point from,
 }  // namespace
 
 ServingOptions
-ServingRuntime::Normalize(const FrozenPlan* plan, ServingOptions options)
+ServingRuntime::Normalize(ServingOptions options)
 {
-    if (!plan) {
-        throw std::invalid_argument("ServingRuntime: null plan");
-    }
-    // A fixed-batch graph cannot execute more rows than it bakes in,
-    // so larger requested batches would only add padding work.
-    if (plan->fixed_batch() > 0) {
-        options.max_batch = std::min(options.max_batch, plan->fixed_batch());
-    }
     options.max_batch = std::max<std::int64_t>(options.max_batch, 1);
     options.max_queue_depth = std::max<std::size_t>(
         options.max_queue_depth, static_cast<std::size_t>(1));
@@ -75,9 +65,12 @@ ServingRuntime::Normalize(const FrozenPlan* plan, ServingOptions options)
 ServingRuntime::ServingRuntime(std::shared_ptr<const FrozenPlan> plan,
                                ServingOptions options)
     : plan_(std::move(plan)),
-      options_(Normalize(plan_.get(), options)),
+      options_(Normalize(options)),
       queue_(options_.max_queue_depth)
 {
+    if (!plan_) {
+        throw std::invalid_argument("ServingRuntime: null plan");
+    }
     if (options_.tracer != nullptr) {
         lanes_.reserve(static_cast<std::size_t>(options_.executors));
         for (int i = 0; i < options_.executors; ++i) {
@@ -165,10 +158,6 @@ ServingRuntime::RunBatch(std::vector<Pending> batch)
 
     metrics.batches.Add();
     metrics.batch_size.Observe(static_cast<std::uint64_t>(n));
-    if (plan_->fixed_batch() > 0 && n < plan_->fixed_batch()) {
-        metrics.padded_rows.Add(
-            static_cast<std::uint64_t>(plan_->fixed_batch() - n));
-    }
     for (const Pending& p : batch) {
         metrics.queue_us.Observe(ElapsedMicros(p.enqueued, formed));
     }

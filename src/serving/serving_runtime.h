@@ -42,9 +42,9 @@ namespace fathom::serving {
 /** Dynamic-batching and capacity knobs. */
 struct ServingOptions {
     /**
-     * Largest coalesced batch. Clamped to the plan's fixed batch when
-     * the frozen graph bakes one in. 1 disables batching (the
-     * baseline configuration bench_serving compares against).
+     * Largest coalesced batch; the plan runs exactly as many rows as
+     * the batch holds. 1 disables batching (the baseline
+     * configuration bench_serving compares against).
      */
     std::int64_t max_batch = 8;
 
@@ -121,9 +121,8 @@ class ServingRuntime {
         std::chrono::steady_clock::time_point enqueued;
     };
 
-    /** Clamps the knobs (and validates @p plan) before queue_ init. */
-    static ServingOptions Normalize(const FrozenPlan* plan,
-                                    ServingOptions options);
+    /** Clamps the knobs to their minimums before queue_ init. */
+    static ServingOptions Normalize(ServingOptions options);
 
     void ExecutorLoop(int worker);
 

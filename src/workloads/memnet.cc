@@ -100,13 +100,13 @@ class MemNetWorkload : public Workload {
             // Match scores p = softmax(u . m_i), via an explicit Tile of
             // the query across memory slots (the original's op mix).
             const Output u_tiled = b.Tile(
-                b.Reshape(u, {batch_, 1, kEmbed}), {1, kSentences, 1});
+                b.Reshape(u, {-1, 1, kEmbed}), {1, kSentences, 1});
             const Output scores =
                 b.ReduceSum(b.Mul(u_tiled, m), {2}, false);  // [B, S]
             const Output p = b.Softmax(scores);
 
             // Response o = sum_i p_i c_i; next query u = u + o.
-            const Output p3 = b.Reshape(p, {batch_, kSentences, 1});
+            const Output p3 = b.Reshape(p, {-1, kSentences, 1});
             const Output o = b.ReduceSum(b.Mul(p3, c), {1}, false);
             u = b.Add(u, o);
         }
@@ -131,9 +131,6 @@ class MemNetWorkload : public Workload {
     serving::InferenceSignature
     ServingSignature() const override
     {
-        // The Tile/Reshape attention plumbing bakes batch_ into the
-        // graph, so the plan only executes at exactly that batch; the
-        // dynamic batcher pads short batches up to it.
         serving::InferenceSignature sig;
         sig.inputs = {{PlaceholderName(*session_, stories_), DType::kInt32,
                        {kSentences, kSentenceLen}},
@@ -141,7 +138,6 @@ class MemNetWorkload : public Workload {
                        {kSentenceLen}}};
         sig.fetches = {logits_, predictions_};
         sig.output_names = {"logits", "predictions"};
-        sig.fixed_batch = batch_;
         return sig;
     }
 

@@ -75,7 +75,7 @@ class Seq2SeqWorkload : public Workload {
                 b.Slice(source_, {0, t}, {-1, 1}), {-1});
             enc_inputs.push_back(b.Gather(embedding_table, token));
         }
-        auto encoded = nn::RunLstmStack(b, enc_cells, enc_inputs, batch_);
+        auto encoded = nn::RunLstmStack(b, enc_cells, enc_inputs);
 
         // ---- attention + decoder -------------------------------------------
         nn::AdditiveAttention attention(b, &trainables_, init_rng, "attn",
@@ -99,8 +99,8 @@ class Seq2SeqWorkload : public Workload {
             const Output token = b.Reshape(
                 b.Slice(decoder_inputs_, {0, t}, {-1, 1}), {-1});
             const Output embedded = b.Gather(embedding_table, token);
-            const Output context = attention.Context(
-                b, encoded.outputs, state.back().h, batch_);
+            const Output context =
+                attention.Context(b, encoded.outputs, state.back().h);
             Output layer_in = b.Concat({embedded, context}, 1);
             for (std::size_t layer = 0; layer < dec_cells.size(); ++layer) {
                 state[layer] = dec_cells[layer].Step(b, layer_in,
@@ -131,9 +131,6 @@ class Seq2SeqWorkload : public Workload {
     serving::InferenceSignature
     ServingSignature() const override
     {
-        // The unrolled LSTM stack and attention bake batch_ into the
-        // graph (initial states, Tile widths), so the plan executes at
-        // exactly that batch; the batcher pads shorter batches.
         serving::InferenceSignature sig;
         sig.inputs = {{PlaceholderName(*session_, source_), DType::kInt32,
                        {kSrcLen}},
@@ -142,7 +139,6 @@ class Seq2SeqWorkload : public Workload {
                        {kTgtLen - 1}}};
         sig.fetches = {serving_logits_};
         sig.output_names = {"logits"};
-        sig.fixed_batch = batch_;
         return sig;
     }
 

@@ -58,7 +58,7 @@ class SpeechWorkload : public Workload {
                       nn::Activation::kRelu);
         x = nn::Dense(b, &trainables_, init_rng, "fc3", x, kHidden, kHidden,
                       nn::Activation::kRelu);
-        const Output h3 = b.Reshape(x, {batch_, kTime, kHidden});
+        const Output h3 = b.Reshape(x, {-1, kTime, kHidden});
 
         // Layer 4: bidirectional simple recurrent layer.
         const auto w_f = nn::MakeDense(b, &trainables_, init_rng, "rnn_fwd_in",
@@ -76,7 +76,10 @@ class SpeechWorkload : public Workload {
                 b.Slice(h3, {0, t, 0}, {-1, 1, -1}), {-1, kHidden});
         }
 
-        Output h_fwd = b.Const(Tensor::Zeros(Shape{batch_, kHidden}), "hf0");
+        // Both directions start from zeros shaped like a step's input,
+        // so the batch comes from the feed.
+        const Output h0 = b.AddOp("h0", "ZerosLike", {per_step.front()});
+        Output h_fwd = h0;
         std::vector<Output> fwd(static_cast<std::size_t>(kTime));
         for (std::int64_t t = 0; t < kTime; ++t) {
             h_fwd = b.Relu(b.Add(
@@ -84,7 +87,7 @@ class SpeechWorkload : public Workload {
                 nn::ApplyDense(b, u_f, h_fwd)));
             fwd[static_cast<std::size_t>(t)] = h_fwd;
         }
-        Output h_bwd = b.Const(Tensor::Zeros(Shape{batch_, kHidden}), "hb0");
+        Output h_bwd = h0;
         std::vector<Output> bwd(static_cast<std::size_t>(kTime));
         for (std::int64_t t = kTime - 1; t >= 0; --t) {
             h_bwd = b.Relu(b.Add(
@@ -100,7 +103,7 @@ class SpeechWorkload : public Workload {
             combined.push_back(b.Reshape(
                 b.Add(fwd[static_cast<std::size_t>(t)],
                       bwd[static_cast<std::size_t>(t)]),
-                {batch_, 1, kHidden}));
+                {-1, 1, kHidden}));
         }
         const Output h4 =
             b.Reshape(b.Concat(combined, 1), {-1, kHidden});  // [B*T, H]
@@ -110,7 +113,7 @@ class SpeechWorkload : public Workload {
                               kHidden, nn::Activation::kRelu);
         const Output flat_logits = nn::Dense(b, &trainables_, init_rng,
                                              "output", h5, kHidden, kClasses);
-        logits_ = b.Reshape(flat_logits, {batch_, kTime, kClasses});
+        logits_ = b.Reshape(flat_logits, {-1, kTime, kClasses});
 
         // CTC loss per sequence, averaged over the batch (blank = 0).
         std::vector<Output> losses;
@@ -131,15 +134,11 @@ class SpeechWorkload : public Workload {
     serving::InferenceSignature
     ServingSignature() const override
     {
-        // The unrolled bidirectional recurrence bakes batch_ into its
-        // zero-state Consts and Reshapes, so the plan runs at exactly
-        // that batch (the batcher pads up to it).
         serving::InferenceSignature sig;
         sig.inputs = {{PlaceholderName(*session_, frames_), DType::kFloat32,
                        {kTime, kFreq}}};
         sig.fetches = {logits_};
         sig.output_names = {"logits"};
-        sig.fixed_batch = batch_;
         return sig;
     }
 

@@ -141,9 +141,10 @@ class Workload {
 
     /**
      * Declares the model's serving endpoint against its live session:
-     * per-example input specs (batch dim excluded), the deterministic
-     * inference fetches, and whether the graph bakes in a fixed batch
-     * size. Valid after Setup; the default throws std::logic_error.
+     * per-example input specs (batch dim excluded) and the
+     * deterministic inference fetches. The graph takes its batch from
+     * the feed's leading dimension, so a plan serves any number of
+     * rows. Valid after Setup; the default throws std::logic_error.
      *
      * Models whose training-time inference path is stochastic (the
      * variational autoencoder samples its code) declare a

@@ -5,7 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "autodiff/gradients.h"
 #include "nn/attention.h"
@@ -26,6 +29,52 @@ class NnTest : public ::testing::Test {
   protected:
     static void SetUpTestSuite() { ops::RegisterStandardOps(); }
 };
+
+/** Row @p row of float tensor @p t, as a [1, ...] tensor. */
+Tensor
+Row(const Tensor& t, std::int64_t row)
+{
+    std::vector<std::int64_t> dims = t.shape().dims();
+    dims[0] = 1;
+    Tensor out(DType::kFloat32, Shape(dims));
+    const std::int64_t n = out.num_elements();
+    std::copy_n(t.data<float>() + row * n, n, out.data<float>());
+    return out;
+}
+
+/**
+ * Runs @p fetches on @p feeds (each [batch, ...]) and then on every
+ * row alone: each batched row must equal its solo run bit for bit, so
+ * the graph takes its batch from the feed and mixes no rows.
+ */
+void
+ExpectRowsMatchSolo(runtime::Session& session, const runtime::FeedMap& feeds,
+                    const std::vector<Output>& fetches)
+{
+    const auto batched = session.Run(feeds, fetches);
+    const std::int64_t rows = feeds.begin()->second.shape().dims()[0];
+    for (const Tensor& out : batched) {
+        ASSERT_EQ(out.shape().dims()[0], rows);
+    }
+    for (std::int64_t i = 0; i < rows; ++i) {
+        runtime::FeedMap solo;
+        for (const auto& [node, value] : feeds) {
+            solo[node] = Row(value, i);
+        }
+        const auto alone = session.Run(solo, fetches);
+        for (std::size_t f = 0; f < fetches.size(); ++f) {
+            const Tensor expected = Row(batched[f], i);
+            ASSERT_EQ(alone[f].shape(), expected.shape());
+            EXPECT_EQ(std::memcmp(alone[f].data<float>(),
+                                  expected.data<float>(),
+                                  static_cast<std::size_t>(
+                                      expected.num_elements()) *
+                                      sizeof(float)),
+                      0)
+                << "batch " << rows << " row " << i << " fetch " << f;
+        }
+    }
+}
 
 TEST(InitTest, GlorotUniformBounds)
 {
@@ -166,8 +215,8 @@ TEST_F(NnTest, LstmCellStepShapesAndStateEvolution)
     Trainables params;
     Rng rng(8);
     LstmCell cell(b, &params, rng, "lstm", 6, 10);
-    auto state = cell.ZeroState(b, 3);
     const Output x = b.Placeholder("x");
+    auto state = cell.ZeroState(b, x);
     const auto next = cell.Step(b, x, state);
 
     runtime::FeedMap feeds;
@@ -218,7 +267,7 @@ TEST_F(NnTest, LstmStackUnrollsAndLearns)
     for (int t = 0; t < 4; ++t) {
         inputs.push_back(b.Placeholder("x" + std::to_string(t)));
     }
-    const auto result = RunLstmStack(b, cells, inputs, /*batch=*/8);
+    const auto result = RunLstmStack(b, cells, inputs);
     ASSERT_EQ(result.outputs.size(), 4u);
     ASSERT_EQ(result.final_states.size(), 1u);
 
@@ -246,6 +295,17 @@ TEST_F(NnTest, LstmStackUnrollsAndLearns)
         final_loss = session.Run(feeds, {loss}, {train_op})[0].scalar_value();
     }
     EXPECT_LT(final_loss, 0.2f);
+
+    // The graph trained at batch 8 serves any batch, row by row.
+    for (const std::int64_t batch : {8, 3}) {
+        runtime::FeedMap feeds;
+        for (int t = 0; t < 4; ++t) {
+            feeds[inputs[static_cast<std::size_t>(t)].node] =
+                test::RandomTensor(Shape{batch, 1}, 500 + batch * 4 + t);
+        }
+        ExpectRowsMatchSolo(session, feeds,
+                            {y, result.final_states[0].c});
+    }
 }
 
 TEST_F(NnTest, AttentionContextShapeAndWeighting)
@@ -261,7 +321,7 @@ TEST_F(NnTest, AttentionContextShapeAndWeighting)
         enc.push_back(b.Placeholder("enc" + std::to_string(t)));
     }
     const Output query = b.Placeholder("q");
-    const Output ctx = attn.Context(b, enc, query, /*batch=*/2);
+    const Output ctx = attn.Context(b, enc, query);
 
     runtime::FeedMap feeds;
     for (int t = 0; t < 3; ++t) {
@@ -290,6 +350,17 @@ TEST_F(NnTest, AttentionContextShapeAndWeighting)
             EXPECT_LE(c, hi + 1e-4f);
         }
     }
+
+    // The same graph at two more batch sizes, row by row.
+    for (const std::int64_t batch : {5, 2}) {
+        runtime::FeedMap rows;
+        for (int t = 0; t < 3; ++t) {
+            rows[enc[static_cast<std::size_t>(t)].node] =
+                test::RandomTensor(Shape{batch, 6}, 300 + batch * 4 + t);
+        }
+        rows[query.node] = test::RandomTensor(Shape{batch, 4}, 320 + batch);
+        ExpectRowsMatchSolo(session, rows, {ctx});
+    }
 }
 
 TEST_F(NnTest, AttentionRejectsEmptyStates)
@@ -300,7 +371,7 @@ TEST_F(NnTest, AttentionRejectsEmptyStates)
     Rng rng(14);
     AdditiveAttention attn(b, &params, rng, "attn", 4, 4, 4);
     const Output q = b.Placeholder("q");
-    EXPECT_THROW(attn.Context(b, {}, q, 1), std::invalid_argument);
+    EXPECT_THROW(attn.Context(b, {}, q), std::invalid_argument);
 }
 
 TEST_F(NnTest, BatchNormInferenceUsesRunningStats)

@@ -66,9 +66,6 @@ MakeServableWorkload(const std::string& name, std::uint64_t seed = 7,
     auto workload = WorkloadRegistry::Global().Create(name);
     WorkloadConfig config;
     config.seed = seed;
-    // A common batch cap so the fixed-batch models (seq2seq, speech,
-    // memnet) can host every tested coalesced size.
-    config.batch_size = 8;
     config.tracing = false;
     config.execution = execution;
     workload->Setup(config);
@@ -257,7 +254,10 @@ TEST_P(ServingEquivalenceBattery, BatchedRowsBitIdenticalToSolo)
     ASSERT_TRUE(workload->has_serving_endpoint());
     const auto plan = workload->FreezeServingPlan();
 
-    constexpr std::size_t kRequests = 8;
+    // 17 rows exceed every model's default training batch (autoenc's
+    // 16 is the largest), so the last group is larger than any batch
+    // the model trains at.
+    constexpr std::size_t kRequests = 17;
     std::vector<RequestFeeds> requests;
     requests.reserve(kRequests);
     for (std::size_t i = 0; i < kRequests; ++i) {
@@ -271,8 +271,9 @@ TEST_P(ServingEquivalenceBattery, BatchedRowsBitIdenticalToSolo)
         solo.push_back(plan->ServeOne(request));
     }
 
-    for (const std::size_t size : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}, std::size_t{8}}) {
+    for (const std::size_t size :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+          std::size_t{8}, kRequests}) {
         for (std::size_t start = 0; start + size <= kRequests;
              start += size) {
             std::vector<const RequestFeeds*> group;
@@ -323,7 +324,7 @@ TEST_P(SessionVsFrozenBattery, SameBytesFromSessionAndFrozenPlan)
     const InferenceSignature& sig = plan->signature();
 
     // Stack a full batch of sampled requests into batched feeds.
-    const std::int64_t batch = sig.fixed_batch > 0 ? sig.fixed_batch : 8;
+    const std::int64_t batch = 8;
     std::vector<RequestFeeds> requests;
     for (std::int64_t i = 0; i < batch; ++i) {
         requests.push_back(workload->SampleServingRequest());
@@ -606,7 +607,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ConcurrentCase{"autoenc", 1},
                       ConcurrentCase{"autoenc", 2},
                       ConcurrentCase{"autoenc", 4},
-                      // The fixed-batch padding path under contention.
+                      // A graph whose Tile/Reshape batch comes from the
+                      // feed, under contention.
                       ConcurrentCase{"memnet", 2}),
     [](const auto& info) {
         return std::string(info.param.workload) + "_width" +
