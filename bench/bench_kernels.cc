@@ -296,24 +296,30 @@ BM_Conv2DBackpropFilter(benchmark::State& state)
 BENCHMARK(BM_Conv2DBackpropFilter)->Arg(16)->Arg(32);
 
 /**
- * residual's convolutions at batch 8 (src/workloads/residual.cc), all
- * SAME: the stem, the first stride-2 3x3 of stage 2 with its 1x1
- * stride-2 projection, and the widest layer of stage 4. Each runs as
- * forward, input gradient and filter gradient, registered as
+ * The conv nets' layer shapes, all 3x3 or 1x1 SAME. At batch 8 (the
+ * suite's training batch): residual's stem, the first stride-2 3x3 of
+ * stage 2 with its 1x1 stride-2 projection, its 8x8 and 4x4 stages
+ * (shared with vgg), and vgg's 16x16x8 -> 16 and 2x2 layers. Each runs
+ * as forward, input gradient and filter gradient, registered as
  * BM_Conv2D/<name>, BM_Conv2DBackpropInput/<name> and
- * BM_Conv2DBackpropFilter/<name>.
+ * BM_Conv2DBackpropFilter/<name>. The batch-1 rows (a single serving
+ * request) run forward only.
  */
 struct ConvLayer {
     const char* name;
-    std::int64_t hw, in_c, out_c, k, stride;
+    std::int64_t batch, hw, in_c, out_c, k, stride;
 };
-constexpr ConvLayer kResidualConvs[] = {
-    {"stem_32x32x3_to_8", 32, 3, 8, 3, 1},
-    {"32x32x8_to_16_s2", 32, 8, 16, 3, 2},
-    {"proj1x1_32x32x8_to_16_s2", 32, 8, 16, 1, 2},
-    {"4x4x64_to_64", 4, 64, 64, 3, 1},
+constexpr ConvLayer kConvLayers[] = {
+    {"stem_32x32x3_to_8", 8, 32, 3, 8, 3, 1},
+    {"32x32x8_to_16_s2", 8, 32, 8, 16, 3, 2},
+    {"proj1x1_32x32x8_to_16_s2", 8, 32, 8, 16, 1, 2},
+    {"16x16x8_to_16", 8, 16, 8, 16, 3, 1},
+    {"8x8x32_to_32", 8, 8, 32, 32, 3, 1},
+    {"4x4x64_to_64", 8, 4, 64, 64, 3, 1},
+    {"2x2x64_to_64", 8, 2, 64, 64, 3, 1},
+    {"stem_32x32x3_to_8_b1", 1, 32, 3, 8, 3, 1},
+    {"32x32x8_to_8_b1", 1, 32, 8, 8, 3, 1},
 };
-constexpr std::int64_t kConvBatch = 8;
 
 enum class ConvPass { kForward, kBackpropInput, kBackpropFilter };
 
@@ -321,7 +327,7 @@ void
 BM_ConvLayer(benchmark::State& state, ConvLayer layer, ConvPass pass)
 {
     parallel::ThreadPool pool(1);
-    const Shape in_shape{kConvBatch, layer.hw, layer.hw, layer.in_c};
+    const Shape in_shape{layer.batch, layer.hw, layer.hw, layer.in_c};
     const Shape filter_shape{layer.k, layer.k, layer.in_c, layer.out_c};
     const auto g = kernels::ResolveConv2D(in_shape, filter_shape,
                                           layer.stride,
@@ -359,7 +365,10 @@ const bool kConvLayersRegistered = [] {
                   {"BM_Conv2DBackpropInput", ConvPass::kBackpropInput},
                   {"BM_Conv2DBackpropFilter", ConvPass::kBackpropFilter}};
     for (const auto& p : passes) {
-        for (const ConvLayer& layer : kResidualConvs) {
+        for (const ConvLayer& layer : kConvLayers) {
+            if (layer.batch == 1 && p.pass != ConvPass::kForward) {
+                continue;
+            }
             benchmark::RegisterBenchmark(
                 (std::string(p.family) + "/" + layer.name).c_str(),
                 BM_ConvLayer, layer, p.pass);

@@ -65,7 +65,7 @@ OpContext::input(int i) const
                                 ") on node '" + node_.name + "' with " +
                                 std::to_string(num_inputs()) + " inputs");
     }
-    return (*inputs_)[static_cast<std::size_t>(i)];
+    return inputs_[static_cast<std::size_t>(i)];
 }
 
 void

@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,7 +73,7 @@ class OpContext {
      * @param inputs borrowed input tensors, owned by the executor for
      *        the duration of the op (also handed to the cost hook).
      */
-    OpContext(const Node& node, const std::vector<Tensor>* inputs,
+    OpContext(const Node& node, std::span<const Tensor> inputs,
               parallel::ThreadPool& pool, Rng& rng, VariableStore& variables)
         : node_(node), inputs_(inputs), pool_(pool), rng_(rng),
           variables_(variables)
@@ -82,7 +83,7 @@ class OpContext {
 
     const Node& node() const { return node_; }
 
-    int num_inputs() const { return static_cast<int>(inputs_->size()); }
+    int num_inputs() const { return static_cast<int>(inputs_.size()); }
 
     /** @return input tensor @p i; throws if out of range. */
     const Tensor& input(int i) const;
@@ -108,7 +109,7 @@ class OpContext {
 
   private:
     const Node& node_;
-    const std::vector<Tensor>* inputs_;
+    std::span<const Tensor> inputs_;
     std::vector<Tensor> outputs_;
     parallel::ThreadPool& pool_;
     Rng& rng_;
@@ -123,7 +124,7 @@ using KernelFn = std::function<void(OpContext&)>;
  * Cost model hook, evaluated after the kernel with real shapes.
  * Receives the node, its inputs, and its outputs.
  */
-using CostFn = std::function<OpCost(const Node&, const std::vector<Tensor>&,
+using CostFn = std::function<OpCost(const Node&, std::span<const Tensor>,
                                     const std::vector<Tensor>&)>;
 
 /** Immutable definition of one operation type. */

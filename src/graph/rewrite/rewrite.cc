@@ -527,7 +527,7 @@ class ConstantFoldingPattern : public Pattern {
         const OpDef* def = state.Lookup(node.op_type);
         parallel::ThreadPool fold_pool(1);
         Rng fold_rng(0);  // never drawn from: stateful ops are not pure.
-        OpContext ctx(node, &inputs, fold_pool, fold_rng,
+        OpContext ctx(node, inputs, fold_pool, fold_rng,
                       state.variables());
         def->kernel(ctx);
         state.FoldNode(anchor, std::move(ctx.outputs()));

@@ -1,6 +1,7 @@
 #include "kernels/conv2d.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -64,22 +65,6 @@ ResolveConv2D(const Shape& input, const Shape& filter, std::int64_t stride,
 
 namespace {
 
-/** Zeroes slots [from, to) of the panel row whose slot 0 is @p d. */
-void
-ZeroPanelRow(float* d, std::int64_t from, std::int64_t to)
-{
-    for (std::int64_t i = from; i < to; ++i) {
-        d[i * kGemmMr] = 0.0f;
-    }
-}
-
-/** @return ceil(a / b) for b > 0 and any sign of a. */
-std::int64_t
-CeilDiv(std::int64_t a, std::int64_t b)
-{
-    return a > 0 ? (a + b - 1) / b : -(-a / b);
-}
-
 /**
  * The filter taps that reach one input coordinate x along one axis: k
  * = k0, k0 + stride, ... (count of them), read from output coordinate
@@ -128,157 +113,82 @@ CheckGradOutShape(const Conv2DGeometry& g, const Tensor& grad_out,
 
 }  // namespace
 
-PanelPacker
-Im2colPackA(const float* in, const Conv2DGeometry& g)
+ConvGather::ConvGather(const float* in, const Conv2DGeometry& g,
+                       parallel::ThreadPool& pool)
 {
-    return [in, g](float* dst, std::int64_t row0, std::int64_t k0,
-                   std::int64_t k1) {
-        const std::int64_t rows = g.batch * g.out_h * g.out_w;
-        const std::int64_t in_row = g.in_w * g.in_c;
-        const std::int64_t in_img = g.in_h * in_row;
-        // One filter row (fixed kh) is k_w * in_c consecutive taps, and
-        // inside the image they are consecutive floats of one NHWC
-        // input row. So each (output pixel, kh) pair packs as at most
-        // three runs: zeros left of the image, one copy, zeros right.
-        const std::int64_t row_taps = g.k_w * g.in_c;
-        // The k-range starts at tap t_first of filter row kh_first; the
-        // same walk repeats for every panel row.
-        const std::int64_t kh_first = k0 / row_taps;
-        const std::int64_t t_first = k0 - kh_first * row_taps;
-        // Output pixel (n, oh, ow) of row0, stepped across the strip.
-        std::int64_t n = row0 / (g.out_h * g.out_w);
-        std::int64_t oh = (row0 / g.out_w) % g.out_h;
-        std::int64_t ow = row0 % g.out_w;
-        for (std::int64_t r = 0; r < kGemmMr; ++r) {
-            float* d = dst + r;
-            if (row0 + r >= rows) {
-                // Dead rows (past M) exist only in the last strip.
-                ZeroPanelRow(d, 0, k1 - k0);
-                continue;
-            }
-            const std::int64_t ih0 = oh * g.stride - g.pad_top;
-            const std::int64_t iw0 = ow * g.stride - g.pad_left;
-            // Taps [lo, hi) of a filter row land inside the image.
-            const std::int64_t kw_lo = std::clamp<std::int64_t>(-iw0, 0, g.k_w);
-            const std::int64_t kw_hi =
-                std::clamp<std::int64_t>(g.in_w - iw0, kw_lo, g.k_w);
-            const std::int64_t lo = kw_lo * g.in_c;
-            const std::int64_t hi = kw_hi * g.in_c;
-            // Filter row kh covers taps [t0, t1) of the k-range; its tap
-            // t goes to panel slot at + t.
-            std::int64_t t0 = t_first;
-            std::int64_t at = -t_first;
-            for (std::int64_t kh = kh_first, k = k0; k < k1; ++kh) {
-                const std::int64_t t1 = std::min(row_taps, t0 + (k1 - k));
-                const std::int64_t ih = ih0 + kh;
-                if (ih < 0 || ih >= g.in_h) {
-                    ZeroPanelRow(d, at + t0, at + t1);
-                } else {
-                    const std::int64_t c0 = std::clamp(t0, lo, hi);
-                    const std::int64_t c1 = std::clamp(t1, c0, hi);
-                    ZeroPanelRow(d, at + t0, at + std::min(t1, lo));
-                    if (c0 < c1) {
-                        // Tap t reads flat offset iw0 * in_c + t of input
-                        // row ih, which is in the image for t >= lo.
-                        const float* src = in + (n * in_img + ih * in_row +
-                                                 iw0 * g.in_c + c0);
-                        for (std::int64_t t = c0; t < c1; ++t) {
-                            d[(at + t) * kGemmMr] = src[t - c0];
-                        }
-                    }
-                    ZeroPanelRow(d, at + std::max(t0, hi), at + t1);
-                }
-                k += t1 - t0;
-                at += row_taps;
-                t0 = 0;
-            }
-            if (++ow == g.out_w) {
-                ow = 0;
-                if (++oh == g.out_h) {
-                    oh = 0;
-                    ++n;
-                }
-            }
-        }
-    };
-}
+    // The padded image spans every row and column a window reads:
+    // [-pad_top, (out_h - 1) * stride - pad_top + k_h) and likewise
+    // across, which covers the image itself.
+    const std::int64_t hp =
+        std::max(g.in_h + g.pad_top, (g.out_h - 1) * g.stride + g.k_h);
+    const std::int64_t wp =
+        std::max(g.in_w + g.pad_left, (g.out_w - 1) * g.stride + g.k_w);
+    extent_ = g.batch * hp * wp * g.in_c;
+    if (extent_ > std::numeric_limits<std::int32_t>::max()) {
+        throw std::length_error(
+            "Conv2D: padded input exceeds 32-bit gather offsets");
+    }
+    // No window leaves the image (VALID, or a 1x1 filter whose stride
+    // divides the input): read the input itself.
+    const bool in_place = hp == g.in_h && wp == g.in_w;
+    const std::int64_t padded = in_place ? 0 : extent_;
+    const std::int64_t pixels = g.batch * g.out_h * g.out_w;
+    const std::int64_t taps = g.k_h * g.k_w * g.in_c;
+    block_ = BufferPool::Global().Allocate(
+        static_cast<std::size_t>(padded) * sizeof(float) +
+        static_cast<std::size_t>(pixels + taps) * sizeof(std::int32_t));
+    float* pad = reinterpret_cast<float*>(block_.get());
+    auto* tables = reinterpret_cast<std::int32_t*>(pad + padded);
+    pixel_off_ = tables;
+    tap_off_ = tables + pixels;
+    base_ = in_place ? in : pad;
 
-PanelPacker
-Im2colPackAT(const float* in, const Conv2DGeometry& g)
-{
-    return [in, g](float* dst, std::int64_t row0, std::int64_t p0,
-                   std::int64_t p1) {
-        const std::int64_t taps = g.k_h * g.k_w * g.in_c;
-        const std::int64_t in_row = g.in_w * g.in_c;
-        const std::int64_t in_img = g.in_h * in_row;
-        // Consecutive output columns read input columns `stride` apart.
-        const std::int64_t src_step = g.stride * g.in_c;
-        // The p-range starts at column w_first of output row
-        // (n_first, oh_first); the same walk repeats for every panel
-        // row.
-        const std::int64_t n_first = p0 / (g.out_h * g.out_w);
-        const std::int64_t oh_first = (p0 / g.out_w) % g.out_h;
-        const std::int64_t w_first = p0 % g.out_w;
-        // Tap (kh, kw, c) of row0, stepped across the strip.
-        std::int64_t kh = row0 / (g.k_w * g.in_c);
-        std::int64_t kw = (row0 / g.in_c) % g.k_w;
-        std::int64_t c = row0 % g.in_c;
-        for (std::int64_t r = 0; r < kGemmMr; ++r) {
-            float* d = dst + r;
-            if (row0 + r >= taps) {
-                // Dead rows (past K) exist only in the last strip.
-                ZeroPanelRow(d, 0, p1 - p0);
-                continue;
-            }
-            // Output columns [ow_lo, ow_hi) read input column
-            // ow * stride + shift inside [0, in_w).
-            const std::int64_t shift = kw - g.pad_left;
-            const std::int64_t ow_lo =
-                std::clamp<std::int64_t>(CeilDiv(-shift, g.stride), 0, g.out_w);
-            const std::int64_t ow_hi = std::clamp<std::int64_t>(
-                CeilDiv(g.in_w - shift, g.stride), ow_lo, g.out_w);
-            // Output row (n, oh) covers columns [w0, w1) of the p-range;
-            // its column ow goes to panel slot at + ow.
-            std::int64_t n = n_first;
-            std::int64_t oh = oh_first;
-            std::int64_t w0 = w_first;
-            std::int64_t at = -w_first;
-            for (std::int64_t p = p0; p < p1;) {
-                const std::int64_t w1 = std::min(g.out_w, w0 + (p1 - p));
-                const std::int64_t ih = oh * g.stride - g.pad_top + kh;
-                if (ih < 0 || ih >= g.in_h) {
-                    ZeroPanelRow(d, at + w0, at + w1);
-                } else {
-                    const std::int64_t c0 = std::clamp(w0, ow_lo, ow_hi);
-                    const std::int64_t c1 = std::clamp(w1, c0, ow_hi);
-                    ZeroPanelRow(d, at + w0, at + std::min(w1, ow_lo));
-                    if (c0 < c1) {
-                        const float* src =
-                            in + (n * in_img + ih * in_row +
-                                  (c0 * g.stride + shift) * g.in_c + c);
-                        for (std::int64_t ow = c0; ow < c1; ++ow) {
-                            d[(at + ow) * kGemmMr] = src[(ow - c0) * src_step];
-                        }
+    const std::int64_t in_row = g.in_w * g.in_c;
+    const std::int64_t row = wp * g.in_c;
+    if (!in_place) {
+        // Padded rows: zeros, the image row, zeros; +0.0f, as the
+        // out-of-image taps of the im2col view read.
+        const std::int64_t left = g.pad_left * g.in_c;
+        pool.ParallelFor(
+            g.batch * hp, /*grain=*/16, [&](std::int64_t r0, std::int64_t r1) {
+                for (std::int64_t r = r0; r < r1; ++r) {
+                    float* d = pad + r * row;
+                    const std::int64_t ih = r % hp - g.pad_top;
+                    if (ih < 0 || ih >= g.in_h) {
+                        std::fill(d, d + row, 0.0f);
+                        continue;
                     }
-                    ZeroPanelRow(d, at + std::max(w0, ow_hi), at + w1);
+                    const float* src =
+                        in + ((r / hp) * g.in_h + ih) * in_row;
+                    std::fill(d, d + left, 0.0f);
+                    std::copy(src, src + in_row, d + left);
+                    std::fill(d + left + in_row, d + row, 0.0f);
                 }
-                p += w1 - w0;
-                at += g.out_w;
-                w0 = 0;
-                if (++oh == g.out_h) {
-                    oh = 0;
-                    ++n;
-                }
-            }
-            if (++c == g.in_c) {
-                c = 0;
-                if (++kw == g.k_w) {
-                    kw = 0;
-                    ++kh;
-                }
+            });
+    }
+
+    // Output pixel (n, oh, ow)'s window starts at padded row oh *
+    // stride, column ow * stride; tap (kh, kw, c) sits kh rows, kw
+    // columns and c channels into it. Stride and padding live here
+    // only.
+    std::int32_t* po = tables;
+    for (std::int64_t n = 0; n < g.batch; ++n) {
+        for (std::int64_t oh = 0; oh < g.out_h; ++oh) {
+            const std::int64_t origin = (n * hp + oh * g.stride) * row;
+            for (std::int64_t ow = 0; ow < g.out_w; ++ow) {
+                *po++ = static_cast<std::int32_t>(origin +
+                                                  ow * g.stride * g.in_c);
             }
         }
-    };
+    }
+    std::int32_t* to = tables + pixels;
+    for (std::int64_t kh = 0; kh < g.k_h; ++kh) {
+        for (std::int64_t kw = 0; kw < g.k_w; ++kw) {
+            for (std::int64_t c = 0; c < g.in_c; ++c) {
+                *to++ = static_cast<std::int32_t>(kh * row + kw * g.in_c + c);
+            }
+        }
+    }
 }
 
 Tensor
@@ -290,10 +200,11 @@ Conv2D(const Tensor& input, const Tensor& filter, std::int64_t stride,
     Tensor out(DType::kFloat32, Shape{g.batch, g.out_h, g.out_w, g.out_c});
 
     // One whole-batch GEMM: out [M, oc] = P [M, K] * W [K, oc], with P
-    // packed straight from the padded image.
+    // read in place from the padded image.
     const std::int64_t M = g.batch * g.out_h * g.out_w;
     const std::int64_t K = g.k_h * g.k_w * g.in_c;
-    GemmPanels(M, g.out_c, K, Im2colPackA(input.data<float>(), g),
+    const ConvGather gather(input.data<float>(), g, pool);
+    GemmPanels(M, g.out_c, K, gather.Forward(),
                StridedPackB(filter.data<float>(), g.out_c, 1, g.out_c),
                out.data<float>(), /*accumulate=*/false, pool);
     return out;
@@ -382,7 +293,8 @@ Conv2DBackpropFilter(const Tensor& input, const Shape& filter_shape,
     // engine's fixed KC order.
     const std::int64_t M = g.batch * g.out_h * g.out_w;
     const std::int64_t K = g.k_h * g.k_w * g.in_c;
-    GemmPanels(K, g.out_c, M, Im2colPackAT(input.data<float>(), g),
+    const ConvGather gather(input.data<float>(), g, pool);
+    GemmPanels(K, g.out_c, M, gather.FilterGrad(),
                StridedPackB(grad_out.data<float>(), g.out_c, 1, g.out_c),
                grad_w.data<float>(), /*accumulate=*/false, pool);
     return grad_w;

@@ -9,10 +9,10 @@
  * forward reduction and two backward reductions is what makes training
  * relatively more expensive for conv nets (paper Sec. V-D).
  *
- * All three kernels are lowered onto the blocked, packed GEMM engine
+ * All three kernels are lowered onto the blocked GEMM engine
  * (kernels/gemm.h) through the im2col view of the convolution. The
- * forward pass and the filter gradient pack their patch-matrix panels
- * directly from the padded image (no materialized im2col); the input
+ * forward pass and the filter gradient read the patch matrix in place
+ * from a zero-padded copy of the image (ConvGather); the input
  * gradient runs one GEMM into a pool-recycled column buffer and
  * col2im-gathers it back onto the image.
  */
@@ -20,6 +20,7 @@
 #define FATHOM_KERNELS_CONV2D_H
 
 #include <cstdint>
+#include <memory>
 
 #include "kernels/gemm.h"
 #include "parallel/thread_pool.h"
@@ -62,29 +63,39 @@ Conv2DGeometry ResolveConv2D(const Shape& input, const Shape& filter,
  *
  * W is the filter tensor itself: [kh, kw, ic, oc] row-major is already
  * the [K, oc] matrix. P is never materialized for the two GEMMs that
- * read it: the engine's pack step reads straight from the padded
- * image through the two packers below.
- *
- * Both packers fill one panel row at a time and move runs, not single
- * elements. One bounds test covers a whole run (a filter row's taps,
- * or an output row's pixels), after which the run is a plain copy or
- * a zero fill. A source index is formed only for an in-image run
- * start, never as an out-of-image position plus an offset.
+ * read it: over the zero-padded image Xp, P[r][k] = Xp[pixel_off[r] +
+ * tap_off[k]] (a window origin plus a tap's offset in the window), and
+ * P^T is the same formula with the two tables swapped.
  */
 
 /**
- * @return the A packer for P [M, K] (forward GEMM) over the NHWC image
- * @p in. A run is the in-image part of one filter row (fixed kh):
- * k_w * in_c taps that are consecutive floats of one input row.
+ * The gathered im2col operand of one convolution input: the padded
+ * image (or the input itself, when no window leaves it) and the two
+ * offset tables, in one BufferPool block. Padded taps read +0.0f, as
+ * the im2col view's out-of-image taps do, so a padded tap still
+ * contributes fma(0, b, acc).
  */
-PanelPacker Im2colPackA(const float* in, const Conv2DGeometry& g);
+class ConvGather {
+  public:
+    /** @throws std::length_error past 2^31 - 1 padded floats. */
+    ConvGather(const float* in, const Conv2DGeometry& g,
+               parallel::ThreadPool& pool);
 
-/**
- * @return the A packer for P^T [K, M] (filter-gradient GEMM) over the
- * NHWC image @p in. A run is the in-image part of one output row
- * (fixed n, oh) for one tap, gathered with stride `stride * in_c`.
- */
-PanelPacker Im2colPackAT(const float* in, const Conv2DGeometry& g);
+    /** P [M, K]: rows are output pixels (n, oh, ow), k runs over taps
+     * (kh, kw, c). */
+    GatheredA Forward() const { return {base_, pixel_off_, tap_off_}; }
+    /** P^T [K, M]: rows are taps, k runs over output pixels. */
+    GatheredA FilterGrad() const { return {base_, tap_off_, pixel_off_}; }
+    /** Floats readable from the operand's base. */
+    std::int64_t extent() const { return extent_; }
+
+  private:
+    std::shared_ptr<char[]> block_;
+    const float* base_ = nullptr;
+    const std::int32_t* pixel_off_ = nullptr;
+    const std::int32_t* tap_off_ = nullptr;
+    std::int64_t extent_ = 0;
+};
 
 /**
  * Forward convolution.

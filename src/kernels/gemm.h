@@ -4,17 +4,20 @@
  *
  * This is the compute core behind MatMul and the lowered Conv2D
  * kernels: a register-tiled kMr x kNr micro-kernel driven by
- * cache-level blocking over packed A/B panels (the GotoBLAS / BLIS
- * structure). Both packing and the micro-kernel sweep are
- * parallelized, the latter over a 2-D grid of M-tile x N-tile blocks
- * via ThreadPool::ParallelFor2D.
+ * cache-level blocking (the GotoBLAS / BLIS structure). B is packed
+ * into k-major strips. A is packed too (PanelPacker: the strided Gemm
+ * behind MatMul), or read in place through two offset tables
+ * (GatheredA: the conv forward pass and filter gradient). Both share
+ * the KC loop, the micro-kernel and the 2-D tile grid
+ * (ThreadPool::ParallelFor2D).
  *
  * Determinism: every C element is accumulated in a fixed order — the
  * serial KC-block loop outermost, ascending k inside the micro-kernel
  * — and each output tile is written by exactly one task per KC block.
  * The tile grid depends only on the problem geometry, never on the
  * pool width, so results are bit-identical across thread counts and
- * across runs (the PR 1 guarantee extends through the hot path).
+ * across runs (the PR 1 guarantee extends through the hot path), and
+ * both A sources give the same bits for the same operand.
  *
  * Pack buffers are drawn from the process-wide size-bucketed
  * BufferPool, so steady-state training steps reuse the same panels
@@ -40,7 +43,7 @@ inline constexpr std::int64_t kGemmKc = 256;
 inline constexpr std::int64_t kGemmMc = 96;
 inline constexpr std::int64_t kGemmNc = 192;
 /** Rows of A packed at once; bounds the packed-A footprint for tall
- * matrices (im2col patch matrices) to kMBlock x kKc floats. */
+ * matrices to kMBlock x kKc floats. */
 inline constexpr std::int64_t kGemmMBlock = 3072;
 
 /**
@@ -54,6 +57,7 @@ inline constexpr std::int64_t kGemmMBlock = 3072;
  * k range is never padded: only edge rows/columns are zero-filled,
  * and those lanes are computed but never stored, so synthetic zeros
  * can never mask an Inf/NaN contribution to a real output element.
+ * A packers now serve only the strided Gemm (StridedPackA).
  */
 using PanelPacker =
     std::function<void(float* dst, std::int64_t idx0, std::int64_t k0,
@@ -81,15 +85,35 @@ void Gemm(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
 
 /**
  * The generic engine: C[m, n] (row-major, ld n) from custom packers.
- *
- * Conv2D lowers onto this by packing A panels directly from the padded
- * image (a virtual im2col), so the patch matrix is never materialized.
  * Packers are invoked once per panel strip (not per element) and must
  * be safe to call concurrently for disjoint strips.
  */
 void GemmPanels(std::int64_t m, std::int64_t n, std::int64_t k,
                 const PanelPacker& pack_a, const PanelPacker& pack_b,
                 float* c, bool accumulate, parallel::ThreadPool& pool);
+
+/**
+ * An A operand read in place: A[r][p] = base[row_off[r] + k_off[p]],
+ * each index inside base's block. Dead rows past m read row m - 1.
+ *
+ * Why two A sources: packing copies an A strip once per KC block and
+ * reuses it across every B strip; gathering skips the copy but loads
+ * k_off[p] in every tile. Conv operands meet one to four B strips
+ * (out_c 8-64), and packing them cost more than the micro-kernel. For
+ * MatMul reuse wins: gathering measured 68.0 against 76.3 GFLOP/s at
+ * 512^3 (A^T: 50.3 against 57.3), one packed strip serving 32 N-strips;
+ * on skinny shapes the two were equal, or gathering was faster.
+ */
+struct GatheredA {
+    const float* base = nullptr;
+    const std::int32_t* row_off = nullptr;  ///< m entries.
+    const std::int32_t* k_off = nullptr;    ///< k entries.
+};
+
+/** GemmPanels with a gathered A operand; same bits as packing it. */
+void GemmPanels(std::int64_t m, std::int64_t n, std::int64_t k,
+                const GatheredA& a, const PanelPacker& pack_b, float* c,
+                bool accumulate, parallel::ThreadPool& pool);
 
 /** @return a PanelPacker reading the strided matrix op(A) [m, k]. */
 PanelPacker StridedPackA(const float* a, std::int64_t a_rs,

@@ -19,6 +19,18 @@ RowsChannels(const Shape& s)
     return {s.num_elements() / std::max<std::int64_t>(c, 1), c};
 }
 
+/**
+ * @return x * pow(d, e), skipping the pow where it cannot move the
+ * result: for x == ±0, d >= 1 and e <= 0 the pow lies in [0, 1], so
+ * the product is x itself. Post-ReLU inputs and max-pool gradients are
+ * mostly zeros, and the pow is the kernels' whole cost.
+ */
+float
+ScaleByPow(float x, float d, float e)
+{
+    return x == 0.0f && d >= 1.0f && e <= 0.0f ? x : x * std::pow(d, e);
+}
+
 }  // namespace
 
 Tensor
@@ -42,8 +54,8 @@ Lrn(const Tensor& input, const LrnParams& params, parallel::ThreadPool& pool)
                 for (std::int64_t j = j0; j <= j1; ++j) {
                     sq += x[j] * x[j];
                 }
-                y[i] = x[i] * std::pow(params.bias + params.alpha * sq,
-                                       -params.beta);
+                y[i] = ScaleByPow(x[i], params.bias + params.alpha * sq,
+                                  -params.beta);
             }
         }
     });
@@ -63,6 +75,9 @@ LrnGrad(const Tensor& input, const Tensor& grad_out, const LrnParams& params,
 
     pool.ParallelFor(rows, /*grain=*/8, [&](std::int64_t r0, std::int64_t r1) {
         std::vector<float> denom(static_cast<std::size_t>(channels));
+        // term[i] = dy_i * x_i * d_i^(-beta-1): each is read by 2r+1
+        // outputs, so its pow is taken once per row, not per reader.
+        std::vector<float> term(static_cast<std::size_t>(channels));
         for (std::int64_t row = r0; row < r1; ++row) {
             const float* x = in + row * channels;
             const float* dy = go + row * channels;
@@ -75,22 +90,22 @@ LrnGrad(const Tensor& input, const Tensor& grad_out, const LrnParams& params,
                 for (std::int64_t j = j0; j <= j1; ++j) {
                     sq += x[j] * x[j];
                 }
-                denom[static_cast<std::size_t>(i)] =
-                    params.bias + params.alpha * sq;
+                const float di = params.bias + params.alpha * sq;
+                denom[static_cast<std::size_t>(i)] = di;
+                term[static_cast<std::size_t>(i)] =
+                    ScaleByPow(dy[i] * x[i], di, -params.beta - 1.0f);
             }
             // dL/dx_j = dy_j * d_j^-beta
-            //         - 2*alpha*beta*x_j * sum_{i: |i-j|<=r}
-            //               dy_i * x_i * d_i^(-beta-1)
+            //         - 2*alpha*beta*x_j * sum_{i: |i-j|<=r} term_i
             for (std::int64_t j = 0; j < channels; ++j) {
                 const float dj = denom[static_cast<std::size_t>(j)];
-                float acc = dy[j] * std::pow(dj, -params.beta);
+                float acc = ScaleByPow(dy[j], dj, -params.beta);
                 const std::int64_t i0 = std::max<std::int64_t>(j - r, 0);
                 const std::int64_t i1 =
                     std::min<std::int64_t>(j + r, channels - 1);
                 float cross = 0.0f;
                 for (std::int64_t i = i0; i <= i1; ++i) {
-                    const float di = denom[static_cast<std::size_t>(i)];
-                    cross += dy[i] * x[i] * std::pow(di, -params.beta - 1.0f);
+                    cross += term[static_cast<std::size_t>(i)];
                 }
                 acc -= 2.0f * params.alpha * params.beta * x[j] * cross;
                 dx[j] = acc;

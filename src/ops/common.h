@@ -15,7 +15,7 @@ namespace fathom::ops {
 
 /** @return summed byte size of all initialized tensors in @p ts. */
 inline double
-BytesOf(const std::vector<Tensor>& ts)
+BytesOf(std::span<const Tensor> ts)
 {
     double bytes = 0.0;
     for (const Tensor& t : ts) {

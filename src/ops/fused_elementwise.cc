@@ -193,7 +193,7 @@ FusedElementwiseKernel(OpContext& ctx)
 }
 
 OpCost
-FusedElementwiseCost(const Node& node, const std::vector<Tensor>& inputs,
+FusedElementwiseCost(const Node& node, std::span<const Tensor> inputs,
                      const std::vector<Tensor>& outputs)
 {
     double flops_per_elem = 0.0;

@@ -54,7 +54,7 @@ CheckedVar(OpContext& ctx, const Tensor& grad)
 graph::CostFn
 UpdateCost(double flops_per_elem)
 {
-    return [flops_per_elem](const Node&, const std::vector<Tensor>& inputs,
+    return [flops_per_elem](const Node&, std::span<const Tensor> inputs,
                             const std::vector<Tensor>&) {
         graph::OpCost cost;
         const double n = static_cast<double>(inputs[0].num_elements());
@@ -63,6 +63,35 @@ UpdateCost(double flops_per_elem)
         cost.parallel_work = 1;      // serial update loop.
         return cost;
     };
+}
+
+/**
+ * m = mu * m + g; v -= lr * m, element by element. Distinct buffers
+ * (the usual case) take a loop the compiler may vectorize: each
+ * element's arithmetic is the same, so are the bits.
+ */
+void
+MomentumUpdate(float* v, float* m, const float* g, std::int64_t n, float lr,
+               float mu)
+{
+    auto update = [n, lr, mu](float* __restrict__ vr, float* __restrict__ mr,
+                              const float* __restrict__ gr) {
+        for (std::int64_t i = 0; i < n; ++i) {
+            mr[i] = mu * mr[i] + gr[i];
+            vr[i] -= lr * mr[i];
+        }
+    };
+    const auto disjoint = [n](const float* a, const float* b) {
+        return a + n <= b || b + n <= a;
+    };
+    if (disjoint(v, m) && disjoint(v, g) && disjoint(m, g)) {
+        update(v, m, g);
+        return;
+    }
+    for (std::int64_t i = 0; i < n; ++i) {
+        m[i] = mu * m[i] + g[i];
+        v[i] -= lr * m[i];
+    }
 }
 
 }  // namespace
@@ -99,14 +128,8 @@ RegisterOptimizerOps()
             Tensor& mom = Slot(ctx, var_name, "momentum", var.shape());
             const float lr = ctx.node().attr("lr").AsFloat();
             const float mu = ctx.node().attr("momentum").AsFloat();
-            float* v = var.data<float>();
-            float* m = mom.data<float>();
-            const float* g = grad.data<float>();
-            const std::int64_t n = var.num_elements();
-            for (std::int64_t i = 0; i < n; ++i) {
-                m[i] = mu * m[i] + g[i];
-                v[i] -= lr * m[i];
-            }
+            MomentumUpdate(var.data<float>(), mom.data<float>(),
+                           grad.data<float>(), var.num_elements(), lr, mu);
         },
         UpdateCost(4.0), true});
 

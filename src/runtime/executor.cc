@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -61,6 +62,9 @@ struct Workspace {
     const ExecutorContext& context;
     /** Dense values: each slot written by one step or seed. */
     std::vector<Tensor> slots;
+    /** Each step's gathered inputs, at [first_input, first_input +
+        inputs): steps own disjoint ranges, so lanes never share one. */
+    std::vector<Tensor> inputs;
     /** Per step, outstanding consumer counts; null when the planner is
         off for this run. */
     std::unique_ptr<std::atomic<std::int32_t>[]> remaining;
@@ -81,11 +85,17 @@ RunStep(Workspace& ws, std::size_t seq, int lane)
     const PlanStep& step = plan.steps[seq];
     const graph::Node& node = *step.node;
 
-    std::vector<Tensor> inputs;
-    inputs.reserve(node.inputs.size());
-    for (std::size_t k = 0; k < node.inputs.size(); ++k) {
-        const std::int32_t slot =
-            plan.input_slots[static_cast<std::size_t>(step.first_input) + k];
+    const auto first = static_cast<std::size_t>(step.first_input);
+    const std::span<Tensor> inputs(ws.inputs.data() + first,
+                                   node.inputs.size());
+    // The gathered references die with the step (also on a throw), so
+    // buffer use counts after it are those of a per-step vector.
+    struct DropInputs {
+        std::span<Tensor> inputs;
+        ~DropInputs() { std::fill(inputs.begin(), inputs.end(), Tensor()); }
+    } drop{inputs};
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+        const std::int32_t slot = plan.input_slots[first + k];
         if (slot == ExecutionPlan::kNoSlot ||
             !ws.slots[static_cast<std::size_t>(slot)].initialized()) {
             throw std::logic_error(
@@ -93,11 +103,11 @@ RunStep(Workspace& ws, std::size_t seq, int lane)
                 plan.graph->node(node.inputs[k].node).name +
                 "' was not produced");
         }
-        inputs.push_back(ws.slots[static_cast<std::size_t>(slot)]);
+        inputs[k] = ws.slots[static_cast<std::size_t>(slot)];
     }
 
     const ExecutorContext& cx = ws.context;
-    graph::OpContext ctx(node, &inputs, *cx.intra_op_pool, *cx.rng,
+    graph::OpContext ctx(node, inputs, *cx.intra_op_pool, *cx.rng,
                          *cx.variables);
 
     // In-place grant: the rewrite proved input 0 statically dies at this
@@ -528,10 +538,11 @@ std::vector<Tensor>
 Execute(const ExecutionPlan& plan, const FeedMap& feeds,
         const ExecutorContext& context)
 {
-    Workspace ws{plan, context, {}, nullptr, Clock::now()};
+    Workspace ws{plan, context, {}, {}, nullptr, Clock::now()};
     // Each seeded and fed slot holds its own reference, so the in-place
     // refcount gate sees the plan's or the caller's copy and refuses.
     ws.slots.resize(static_cast<std::size_t>(plan.num_slots));
+    ws.inputs.resize(plan.input_slots.size());
     for (const auto& [slot, value] : plan.seeded) {
         ws.slots[static_cast<std::size_t>(slot)] = value;
     }

@@ -160,7 +160,7 @@ Session::Run(const FeedMap& feeds, const std::vector<graph::Output>& fetches,
     context.tracer = &tracer_;
 
     const auto step_start = Clock::now();
-    tracer_.BeginStep();
+    tracer_.BeginStep(plan.steps.size());
     std::vector<Tensor> results;
     try {
         results = Execute(plan, feeds, context);

@@ -102,12 +102,13 @@ Tracer::operator=(Tracer&& other) noexcept
 }
 
 void
-Tracer::BeginStep()
+Tracer::BeginStep(std::size_t expected_records)
 {
     if (!enabled_) {
         return;
     }
     steps_.emplace_back();
+    steps_.back().records.reserve(expected_records);
     steps_.back().start_seconds = NowSeconds();
     in_step_ = true;
 }

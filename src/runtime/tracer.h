@@ -149,8 +149,9 @@ class Tracer {
     void set_enabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
 
-    /** Begins a new step; records go to this step until EndStep. */
-    void BeginStep();
+    /** Begins a new step; records go to this step until EndStep.
+     * Reserves room for @p expected_records (e.g. the plan's size). */
+    void BeginStep(std::size_t expected_records = 0);
 
     /** Appends a record to the current step. Thread-safe. */
     void Record(OpExecRecord record);

@@ -1,29 +1,34 @@
 /**
  * @file
- * Oracle test for the run-wise im2col packers: Im2colPackA and
- * Im2colPackAT must write exactly the panel bytes of the per-element
- * packers they replaced. Those packers are kept here as the reference.
- * Each visits one panel slot at a time and bounds-tests every element.
- * So is the per-pixel col2im that Conv2DBackpropInput replaced with
- * precomputed tap tables.
+ * Oracle test for the gathered conv lowering. Conv2D and
+ * Conv2DBackpropFilter read their im2col operand in place through
+ * ConvGather (a zero-padded image plus pixel and tap offset tables).
+ * The per-element im2col packers that operand replaced are kept here
+ * as the reference; each visits one panel slot at a time and
+ * bounds-tests every element. So is the per-pixel col2im that
+ * Conv2DBackpropInput replaced with precomputed tap tables.
  *
  * Three checks per case:
- *  - every panel the engine asks for (each kGemmMr strip, each KC
- *    block), plus ranges cut at odd points, compared byte for byte,
- *    dead rows included;
+ *  - every live (row, k) element of the forward operand P and the
+ *    filter-gradient operand P^T, read as base[row_off[r] + k_off[k]],
+ *    equals the per-element im2col value bit for bit, and every
+ *    offset sum lies inside the padded block;
  *  - GemmPanels driven by the reference packers, compared with memcmp
  *    against Conv2D and Conv2DBackpropFilter;
  *  - the reference col2im, compared bit for bit against
  *    Conv2DBackpropInput (any NaN matching any NaN).
  *
  * The cases reach what ConvLoweringBattery cannot (its K is at most 75
- * and its M at most 162, so no KC block splits a run): a KC boundary
- * inside a channel run, a filter-gradient KC block that ends inside an
- * output row, strips that straddle two images, dead rows in the last
- * strip, stride 2 with SAME padding, a 1x1 stride-2 projection, and a
- * filter larger than its input. Inputs hold NaN, ±Inf, −0 and
- * denormals. These tests carry the `kernels` ctest label, so the
- * sanitizer jobs run them.
+ * and its M at most 162, so no KC block splits a channel run): a KC
+ * boundary inside a channel run, a filter-gradient KC block that ends
+ * inside an output row, strips that straddle two images, dead rows in
+ * the last strip, stride 2 with SAME padding, 1x1 stride-2
+ * projections read in place, VALID padding, 300 output channels,
+ * batch 1, and a filter larger than its input. Inputs and filters hold
+ * NaN, ±Inf, −0 and denormals, so 0 * Inf at a padded tap gives NaN
+ * exactly where the reference packers' zeros do. There is no
+ * tolerance anywhere. These tests carry the `kernels` ctest label, so
+ * the sanitizer jobs run them.
  */
 #include <gtest/gtest.h>
 
@@ -44,109 +49,52 @@ namespace {
 
 // ---- the replaced per-element packers ------------------------------------
 
+/** The im2col value P[pixel][tap], bounds-tested per element. */
+float
+Im2colValue(const float* in, const Conv2DGeometry& g, std::int64_t pixel,
+            std::int64_t tap)
+{
+    const std::int64_t n = pixel / (g.out_h * g.out_w);
+    const std::int64_t oh = pixel / g.out_w % g.out_h;
+    const std::int64_t ow = pixel % g.out_w;
+    const std::int64_t kh = tap / (g.k_w * g.in_c);
+    const std::int64_t kw = tap / g.in_c % g.k_w;
+    const std::int64_t c = tap % g.in_c;
+    const std::int64_t ih = oh * g.stride - g.pad_top + kh;
+    const std::int64_t iw = ow * g.stride - g.pad_left + kw;
+    if (ih < 0 || ih >= g.in_h || iw < 0 || iw >= g.in_w) {
+        return 0.0f;
+    }
+    return in[((n * g.in_h + ih) * g.in_w + iw) * g.in_c + c];
+}
+
+/** Packs P [M, K] one panel slot at a time; dead rows are zero. */
 PanelPacker
 ElementwisePackA(const float* in, const Conv2DGeometry& g)
 {
     return [in, g](float* dst, std::int64_t row0, std::int64_t k0,
                    std::int64_t k1) {
         const std::int64_t rows = g.batch * g.out_h * g.out_w;
-        const std::int64_t in_row = g.in_w * g.in_c;
-        const std::int64_t in_img = g.in_h * in_row;
-        std::int64_t base[kGemmMr];
-        std::int64_t ih0[kGemmMr];
-        std::int64_t iw0[kGemmMr];
-        bool live[kGemmMr];
-        for (std::int64_t r = 0; r < kGemmMr; ++r) {
-            const std::int64_t row = row0 + r;
-            live[r] = row < rows;
-            if (!live[r]) {
-                base[r] = ih0[r] = iw0[r] = 0;
-                continue;
-            }
-            const std::int64_t n = row / (g.out_h * g.out_w);
-            const std::int64_t rem = row % (g.out_h * g.out_w);
-            base[r] = n * in_img;
-            ih0[r] = (rem / g.out_w) * g.stride - g.pad_top;
-            iw0[r] = (rem % g.out_w) * g.stride - g.pad_left;
-        }
-        std::int64_t kh = k0 / (g.k_w * g.in_c);
-        std::int64_t rem = k0 % (g.k_w * g.in_c);
-        std::int64_t kw = rem / g.in_c;
-        std::int64_t c = rem % g.in_c;
         for (std::int64_t p = k0; p < k1; ++p) {
-            float* d = dst + (p - k0) * kGemmMr;
             for (std::int64_t r = 0; r < kGemmMr; ++r) {
-                float v = 0.0f;
-                if (live[r]) {
-                    const std::int64_t ih = ih0[r] + kh;
-                    const std::int64_t iw = iw0[r] + kw;
-                    if (ih >= 0 && ih < g.in_h && iw >= 0 && iw < g.in_w) {
-                        v = in[base[r] + ih * in_row + iw * g.in_c + c];
-                    }
-                }
-                d[r] = v;
-            }
-            if (++c == g.in_c) {
-                c = 0;
-                if (++kw == g.k_w) {
-                    kw = 0;
-                    ++kh;
-                }
+                dst[(p - k0) * kGemmMr + r] =
+                    row0 + r < rows ? Im2colValue(in, g, row0 + r, p) : 0.0f;
             }
         }
     };
 }
 
+/** Packs P^T [K, M] one panel slot at a time; dead rows are zero. */
 PanelPacker
 ElementwisePackAT(const float* in, const Conv2DGeometry& g)
 {
     return [in, g](float* dst, std::int64_t row0, std::int64_t p0,
                    std::int64_t p1) {
         const std::int64_t taps = g.k_h * g.k_w * g.in_c;
-        const std::int64_t in_row = g.in_w * g.in_c;
-        const std::int64_t in_img = g.in_h * in_row;
-        std::int64_t kh[kGemmMr];
-        std::int64_t kw[kGemmMr];
-        std::int64_t ch[kGemmMr];
-        bool live[kGemmMr];
-        for (std::int64_t r = 0; r < kGemmMr; ++r) {
-            const std::int64_t tap = row0 + r;
-            live[r] = tap < taps;
-            if (!live[r]) {
-                kh[r] = kw[r] = ch[r] = 0;
-                continue;
-            }
-            kh[r] = tap / (g.k_w * g.in_c);
-            const std::int64_t rem = tap % (g.k_w * g.in_c);
-            kw[r] = rem / g.in_c;
-            ch[r] = rem % g.in_c;
-        }
-        std::int64_t n = p0 / (g.out_h * g.out_w);
-        std::int64_t rem = p0 % (g.out_h * g.out_w);
-        std::int64_t oh = rem / g.out_w;
-        std::int64_t ow = rem % g.out_w;
         for (std::int64_t p = p0; p < p1; ++p) {
-            float* d = dst + (p - p0) * kGemmMr;
-            const std::int64_t base = n * in_img;
-            const std::int64_t ih0 = oh * g.stride - g.pad_top;
-            const std::int64_t iw0 = ow * g.stride - g.pad_left;
             for (std::int64_t r = 0; r < kGemmMr; ++r) {
-                float v = 0.0f;
-                if (live[r]) {
-                    const std::int64_t ih = ih0 + kh[r];
-                    const std::int64_t iw = iw0 + kw[r];
-                    if (ih >= 0 && ih < g.in_h && iw >= 0 && iw < g.in_w) {
-                        v = in[base + ih * in_row + iw * g.in_c + ch[r]];
-                    }
-                }
-                d[r] = v;
-            }
-            if (++ow == g.out_w) {
-                ow = 0;
-                if (++oh == g.out_h) {
-                    oh = 0;
-                    ++n;
-                }
+                dst[(p - p0) * kGemmMr + r] =
+                    row0 + r < taps ? Im2colValue(in, g, p, row0 + r) : 0.0f;
             }
         }
     };
@@ -243,13 +191,6 @@ Pool()
 }
 
 bool
-SameBytes(const std::vector<float>& a, const std::vector<float>& b)
-{
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
-bool
 SameBytes(const Tensor& a, const Tensor& b)
 {
     return a.shape() == b.shape() &&
@@ -282,51 +223,28 @@ SameBitsOrBothNaN(const Tensor& a, const Tensor& b)
 }
 
 /**
- * Packs every kGemmMr strip of an A operand with @p rows rows and
- * depth @p depth, over the k-ranges in @p cuts (consecutive pairs),
- * with both packers; fails on the first panel whose bytes differ.
- * Slots are pre-filled with a sentinel so an unwritten slot shows.
+ * Reads every element of the gathered operand @p a [rows, depth] and
+ * compares it bit for bit with @p want(r, k); also checks that every
+ * offset sum lies inside the block. Fails on the first mismatch.
  */
+template <typename Want>
 void
-ExpectSamePanels(const PanelPacker& want, const PanelPacker& got,
-                 std::int64_t rows, const std::vector<std::int64_t>& cuts,
-                 const std::string& what)
+ExpectSameOperand(const GatheredA& a, std::int64_t extent, std::int64_t rows,
+                  std::int64_t depth, Want want, const std::string& what)
 {
-    const float sentinel = 12345.0f;
-    for (std::int64_t row0 = 0; row0 < rows; row0 += kGemmMr) {
-        for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
-            const std::int64_t k0 = cuts[i];
-            const std::int64_t k1 = cuts[i + 1];
-            const std::size_t slots =
-                static_cast<std::size_t>((k1 - k0) * kGemmMr);
-            std::vector<float> a(slots, sentinel);
-            std::vector<float> b(slots, sentinel);
-            want(a.data(), row0, k0, k1);
-            got(b.data(), row0, k0, k1);
-            ASSERT_TRUE(SameBytes(a, b))
-                << what << ": strip at row " << row0 << ", k-range [" << k0
-                << ", " << k1 << ")";
+    for (std::int64_t r = 0; r < rows; ++r) {
+        for (std::int64_t k = 0; k < depth; ++k) {
+            const std::int64_t at = std::int64_t{a.row_off[r]} + a.k_off[k];
+            ASSERT_TRUE(at >= 0 && at < extent)
+                << what << ": (" << r << ", " << k << ") reads offset " << at
+                << " of " << extent;
+            const float got = a.base[at];
+            const float expected = want(r, k);
+            ASSERT_EQ(0, std::memcmp(&got, &expected, sizeof(float)))
+                << what << ": (" << r << ", " << k << ") is " << got
+                << ", im2col holds " << expected;
         }
     }
-}
-
-/** The engine's KC blocks over [0, depth), then the same range cut at
- * odd, run-splitting points. */
-std::vector<std::vector<std::int64_t>>
-CutSets(std::int64_t depth)
-{
-    std::vector<std::int64_t> kc{0};
-    for (std::int64_t k = kGemmKc; k < depth; k += kGemmKc) {
-        kc.push_back(k);
-    }
-    kc.push_back(depth);
-    std::vector<std::int64_t> odd{0};
-    for (std::int64_t k = 1, step = 1; k < depth; step = step % 7 + 2) {
-        odd.push_back(k);
-        k += step;
-    }
-    odd.push_back(depth);
-    return {kc, odd};
 }
 
 struct PackCase {
@@ -351,14 +269,19 @@ CheckCase(const PackCase& pc, std::uint64_t seed)
                                  seed + 2);
     const float* in = x.data<float>();
 
-    for (const auto& cuts : CutSets(K)) {
-        ExpectSamePanels(ElementwisePackA(in, g), Im2colPackA(in, g), M,
-                         cuts, "forward panel");
-    }
-    for (const auto& cuts : CutSets(M)) {
-        ExpectSamePanels(ElementwisePackAT(in, g), Im2colPackAT(in, g), K,
-                         cuts, "filter-grad panel");
-    }
+    const ConvGather gather(in, g, Pool());
+    ExpectSameOperand(
+        gather.Forward(), gather.extent(), M, K,
+        [&](std::int64_t r, std::int64_t k) {
+            return Im2colValue(in, g, r, k);
+        },
+        "forward operand");
+    ExpectSameOperand(
+        gather.FilterGrad(), gather.extent(), K, M,
+        [&](std::int64_t r, std::int64_t k) {
+            return Im2colValue(in, g, k, r);
+        },
+        "filter-grad operand");
 
     Tensor want_y(DType::kFloat32, Shape{g.batch, g.out_h, g.out_w, g.out_c});
     GemmPanels(M, g.out_c, K, ElementwisePackA(in, g),
@@ -382,7 +305,7 @@ CheckCase(const PackCase& pc, std::uint64_t seed)
         << "Conv2DBackpropInput output bits differ";
 }
 
-TEST(ConvLoweringPackOracle, RunWiseLoweringMatchesPerElementReference)
+TEST(ConvLoweringPackOracle, GatheredLoweringMatchesPerElementReference)
 {
     const std::vector<PackCase> cases = {
         // K = 360: the first KC block (256 taps) ends inside a 40-wide
@@ -416,6 +339,20 @@ TEST(ConvLoweringPackOracle, RunWiseLoweringMatchesPerElementReference)
          3, Padding::kSame},
         {"non-square filter", Shape{2, 6, 7, 3}, Shape{2, 4, 3, 5}, 2,
          Padding::kSame},
+        // K = 360 > KC at both batch sizes.
+        {"9x9x40 to 20", Shape{8, 9, 9, 40}, Shape{3, 3, 40, 20}, 1,
+         Padding::kSame},
+        {"9x9x40 to 20, batch 1", Shape{1, 9, 9, 40}, Shape{3, 3, 40, 20}, 1,
+         Padding::kSame},
+        // 300 output channels: 19 B strips, the last 12 wide.
+        {"7x7x5 to 300, stride 2", Shape{8, 7, 7, 5}, Shape{3, 3, 5, 300}, 2,
+         Padding::kSame},
+        {"7x7x5 to 300, stride 2, batch 1", Shape{1, 7, 7, 5},
+         Shape{3, 3, 5, 300}, 2, Padding::kSame},
+        {"stem 32x32x3 to 8, batch 1", Shape{1, 32, 32, 3},
+         Shape{3, 3, 3, 8}, 1, Padding::kSame},
+        {"3x3 VALID, in_c 3", Shape{2, 8, 9, 3}, Shape{3, 3, 3, 4}, 1,
+         Padding::kValid},
     };
     std::uint64_t seed = 9100;
     for (const PackCase& pc : cases) {
