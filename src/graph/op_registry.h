@@ -66,6 +66,46 @@ struct OpCost {
     std::int64_t parallel_work = 1;  ///< parallelizable trip count.
 };
 
+/**
+ * The input tensors of one op execution, borrowed by pointer: the
+ * executor points at its workspace slots instead of copying each
+ * tensor (a shape allocation and a refcount round trip per input).
+ * Reads like a span of tensors.
+ */
+class OpInputs {
+  public:
+    class iterator {
+      public:
+        explicit iterator(const Tensor* const* at) : at_(at) {}
+        const Tensor& operator*() const { return **at_; }
+        iterator&
+        operator++()
+        {
+            ++at_;
+            return *this;
+        }
+        bool operator==(const iterator& other) const = default;
+
+      private:
+        const Tensor* const* at_;
+    };
+
+    OpInputs() = default;
+    explicit OpInputs(std::span<const Tensor* const> tensors)
+        : tensors_(tensors)
+    {
+    }
+
+    std::size_t size() const { return tensors_.size(); }
+    bool empty() const { return tensors_.empty(); }
+    const Tensor& operator[](std::size_t i) const { return *tensors_[i]; }
+    iterator begin() const { return iterator(tensors_.data()); }
+    iterator end() const { return iterator(tensors_.data() + size()); }
+
+  private:
+    std::span<const Tensor* const> tensors_;
+};
+
 /** Everything a kernel sees while executing one node. */
 class OpContext {
   public:
@@ -73,7 +113,7 @@ class OpContext {
      * @param inputs borrowed input tensors, owned by the executor for
      *        the duration of the op (also handed to the cost hook).
      */
-    OpContext(const Node& node, std::span<const Tensor> inputs,
+    OpContext(const Node& node, OpInputs inputs,
               parallel::ThreadPool& pool, Rng& rng, VariableStore& variables)
         : node_(node), inputs_(inputs), pool_(pool), rng_(rng),
           variables_(variables)
@@ -109,7 +149,7 @@ class OpContext {
 
   private:
     const Node& node_;
-    std::span<const Tensor> inputs_;
+    OpInputs inputs_;
     std::vector<Tensor> outputs_;
     parallel::ThreadPool& pool_;
     Rng& rng_;
@@ -124,7 +164,7 @@ using KernelFn = std::function<void(OpContext&)>;
  * Cost model hook, evaluated after the kernel with real shapes.
  * Receives the node, its inputs, and its outputs.
  */
-using CostFn = std::function<OpCost(const Node&, std::span<const Tensor>,
+using CostFn = std::function<OpCost(const Node&, OpInputs,
                                     const std::vector<Tensor>&)>;
 
 /** Immutable definition of one operation type. */

@@ -524,10 +524,15 @@ class ConstantFoldingPattern : public Pattern {
             }
             inputs.push_back((*value)[static_cast<std::size_t>(re.index)]);
         }
+        std::vector<const Tensor*> input_ptrs;
+        input_ptrs.reserve(inputs.size());
+        for (const Tensor& in : inputs) {
+            input_ptrs.push_back(&in);
+        }
         const OpDef* def = state.Lookup(node.op_type);
         parallel::ThreadPool fold_pool(1);
         Rng fold_rng(0);  // never drawn from: stateful ops are not pure.
-        OpContext ctx(node, inputs, fold_pool, fold_rng,
+        OpContext ctx(node, graph::OpInputs(input_ptrs), fold_pool, fold_rng,
                       state.variables());
         def->kernel(ctx);
         state.FoldNode(anchor, std::move(ctx.outputs()));

@@ -8,7 +8,7 @@ graph::CostFn
 ElementwiseCost(double flops_per_elem)
 {
     return [flops_per_elem](const graph::Node&,
-                            std::span<const Tensor> inputs,
+                            graph::OpInputs inputs,
                             const std::vector<Tensor>& outputs) {
         graph::OpCost cost;
         std::int64_t n = 0;
@@ -28,7 +28,7 @@ graph::CostFn
 SerialCost(double flops_per_elem)
 {
     return [flops_per_elem](const graph::Node&,
-                            std::span<const Tensor> inputs,
+                            graph::OpInputs inputs,
                             const std::vector<Tensor>& outputs) {
         graph::OpCost cost;
         std::int64_t n = 0;
@@ -47,7 +47,7 @@ SerialCost(double flops_per_elem)
 graph::CostFn
 MovedBytesCost()
 {
-    return [](const graph::Node&, std::span<const Tensor> inputs,
+    return [](const graph::Node&, graph::OpInputs inputs,
               const std::vector<Tensor>& outputs) {
         graph::OpCost cost;
         cost.flops = 0.0;

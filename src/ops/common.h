@@ -14,8 +14,9 @@
 namespace fathom::ops {
 
 /** @return summed byte size of all initialized tensors in @p ts. */
-inline double
-BytesOf(std::span<const Tensor> ts)
+template <typename Tensors>
+double
+BytesOf(const Tensors& ts)
 {
     double bytes = 0.0;
     for (const Tensor& t : ts) {

@@ -69,7 +69,7 @@ RegisterConvOps()
                        ParsePadding(ctx.node().attr("padding").AsString()),
                        ctx.pool()));
         },
-        [](const Node& node, std::span<const Tensor> inputs,
+        [](const Node& node, graph::OpInputs inputs,
            const std::vector<Tensor>& outputs) {
             const auto g = kernels::ResolveConv2D(
                 inputs[0].shape(), inputs[1].shape(),
@@ -96,7 +96,7 @@ RegisterConvOps()
                        ParsePadding(ctx.node().attr("padding").AsString()),
                        ctx.pool()));
         },
-        [](const Node& node, std::span<const Tensor> inputs,
+        [](const Node& node, graph::OpInputs inputs,
            const std::vector<Tensor>& outputs) {
             const auto g = kernels::ResolveConv2D(
                 inputs[0].shape(), inputs[1].shape(),
@@ -123,7 +123,7 @@ RegisterConvOps()
                        ParsePadding(ctx.node().attr("padding").AsString()),
                        ctx.pool()));
         },
-        [](const Node& node, std::span<const Tensor> inputs,
+        [](const Node& node, graph::OpInputs inputs,
            const std::vector<Tensor>& outputs) {
             const auto g = kernels::ResolveConv2D(
                 inputs[0].shape(), inputs[1].shape(),
@@ -160,7 +160,7 @@ RegisterConvOps()
 
     // ---- pooling ---------------------------------------------------------
 
-    auto pool_cost = [](const Node& node, std::span<const Tensor> inputs,
+    auto pool_cost = [](const Node& node, graph::OpInputs inputs,
                         const std::vector<Tensor>& outputs) {
         const auto g = kernels::ResolvePool(
             inputs[0].shape(), node.attr("window").AsInt(),
@@ -250,7 +250,7 @@ RegisterConvOps()
                                            LrnParamsFromNode(ctx.node()),
                                            ctx.pool()));
         },
-        [](const Node& node, std::span<const Tensor> inputs,
+        [](const Node& node, graph::OpInputs inputs,
            const std::vector<Tensor>& outputs) {
             graph::OpCost cost;
             const double window =
@@ -296,7 +296,7 @@ RegisterConvOps()
             ctx.set_output(1, std::move(result.mean));
             ctx.set_output(2, std::move(result.inv_std));
         },
-        [](const Node&, std::span<const Tensor> inputs,
+        [](const Node&, graph::OpInputs inputs,
            const std::vector<Tensor>& outputs) {
             graph::OpCost cost;
             cost.flops = 8.0 * static_cast<double>(inputs[0].num_elements());

@@ -193,7 +193,7 @@ FusedElementwiseKernel(OpContext& ctx)
 }
 
 OpCost
-FusedElementwiseCost(const Node& node, std::span<const Tensor> inputs,
+FusedElementwiseCost(const Node& node, graph::OpInputs inputs,
                      const std::vector<Tensor>& outputs)
 {
     double flops_per_elem = 0.0;

@@ -116,7 +116,7 @@ RegisterLossOps()
             ctx.set_output(0, Tensor::Scalar(result.loss));
             ctx.set_output(1, std::move(result.grad_logits));
         },
-        [](const Node&, std::span<const Tensor> inputs,
+        [](const Node&, graph::OpInputs inputs,
            const std::vector<Tensor>& outputs) {
             graph::OpCost cost;
             const std::int64_t t = inputs[0].shape().dim(0);

@@ -33,7 +33,7 @@ RegisterMatMulOps()
                                    ctx.node().attr_bool("transpose_b", false),
                                    ctx.pool()));
         },
-        [](const Node& node, std::span<const Tensor> inputs,
+        [](const Node& node, graph::OpInputs inputs,
            const std::vector<Tensor>& outputs) {
             graph::OpCost cost;
             const bool ta = node.attr_bool("transpose_a", false);

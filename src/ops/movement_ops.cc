@@ -69,7 +69,7 @@ PaddingsFromAttr(const std::vector<std::int64_t>& flat)
 graph::CostFn
 MovementCost()
 {
-    return [](const Node&, std::span<const Tensor> inputs,
+    return [](const Node&, graph::OpInputs inputs,
               const std::vector<Tensor>& outputs) {
         graph::OpCost cost;
         cost.flops = 0.0;
@@ -294,7 +294,7 @@ RegisterMovementOps()
             ctx.set_output(0, kernels::Gather(ctx.input(0), ctx.input(1),
                                               ctx.pool()));
         },
-        [](const Node&, std::span<const Tensor> inputs,
+        [](const Node&, graph::OpInputs inputs,
            const std::vector<Tensor>& outputs) {
             graph::OpCost cost;
             cost.bytes = BytesOf(outputs) * 2.0 +

@@ -54,7 +54,7 @@ CheckedVar(OpContext& ctx, const Tensor& grad)
 graph::CostFn
 UpdateCost(double flops_per_elem)
 {
-    return [flops_per_elem](const Node&, std::span<const Tensor> inputs,
+    return [flops_per_elem](const Node&, graph::OpInputs inputs,
                             const std::vector<Tensor>&) {
         graph::OpCost cost;
         const double n = static_cast<double>(inputs[0].num_elements());

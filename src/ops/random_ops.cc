@@ -29,7 +29,7 @@ namespace {
 graph::CostFn
 SamplingCost()
 {
-    return [](const Node&, std::span<const Tensor>,
+    return [](const Node&, graph::OpInputs,
               const std::vector<Tensor>& outputs) {
         graph::OpCost cost;
         cost.flops = 30.0 * static_cast<double>(outputs[0].num_elements());

@@ -189,7 +189,7 @@ RegisterReductionOps()
         [](OpContext& ctx) {
             ctx.set_output(0, kernels::Softmax(ctx.input(0), ctx.pool()));
         },
-        [](const Node&, std::span<const Tensor> inputs,
+        [](const Node&, graph::OpInputs inputs,
            const std::vector<Tensor>& outputs) {
             graph::OpCost cost;
             cost.flops = 15.0 * static_cast<double>(inputs[0].num_elements());

@@ -1,6 +1,7 @@
 #include "runtime/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -56,21 +57,35 @@ struct ExecutorMetrics {
     }
 };
 
+/**
+ * Slot storage, kept per thread across Execute calls, so a step reuses
+ * warm slots instead of allocating, zero-filling and freeing one per
+ * value each time. Every slot is empty between calls, so no buffer
+ * outlives the call that made it.
+ */
+struct SlotStorage {
+    std::vector<Tensor> slots;
+    bool in_use = false;  ///< a nested Execute takes its own storage.
+};
+
+thread_local SlotStorage t_slot_storage;
+
 /** One Execute() call's mutable state, shared by its lanes. */
 struct Workspace {
     const ExecutionPlan& plan;
     const ExecutorContext& context;
     /** Dense values: each slot written by one step or seed. */
-    std::vector<Tensor> slots;
-    /** Each step's gathered inputs, at [first_input, first_input +
-        inputs): steps own disjoint ranges, so lanes never share one. */
-    std::vector<Tensor> inputs;
+    std::span<Tensor> slots;
     /** Per step, outstanding consumer counts; null when the planner is
         off for this run. */
     std::unique_ptr<std::atomic<std::int32_t>[]> remaining;
     /** Op record timestamps are offsets from here. */
     Clock::time_point epoch;
 };
+
+/** Input pointers a step gathers on the stack; wider steps use a
+    vector. */
+constexpr std::size_t kInlineInputs = 8;
 
 /**
  * Runs kernel step @p seq: gathers its inputs from their slots, grants
@@ -86,15 +101,18 @@ RunStep(Workspace& ws, std::size_t seq, int lane)
     const graph::Node& node = *step.node;
 
     const auto first = static_cast<std::size_t>(step.first_input);
-    const std::span<Tensor> inputs(ws.inputs.data() + first,
-                                   node.inputs.size());
-    // The gathered references die with the step (also on a throw), so
-    // buffer use counts after it are those of a per-step vector.
-    struct DropInputs {
-        std::span<Tensor> inputs;
-        ~DropInputs() { std::fill(inputs.begin(), inputs.end(), Tensor()); }
-    } drop{inputs};
-    for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const std::size_t num_inputs = node.inputs.size();
+    // The kernel reads its inputs in their slots: a slot is cleared
+    // only after every consumer of its value has finished (see
+    // ReleaseDead), so no copy or extra reference is needed.
+    std::array<const Tensor*, kInlineInputs> inline_inputs;
+    std::vector<const Tensor*> wide_inputs(
+        num_inputs > kInlineInputs ? num_inputs : 0);
+    const std::span<const Tensor*> gathered =
+        num_inputs > kInlineInputs
+            ? std::span<const Tensor*>(wide_inputs)
+            : std::span<const Tensor*>(inline_inputs.data(), num_inputs);
+    for (std::size_t k = 0; k < num_inputs; ++k) {
         const std::int32_t slot = plan.input_slots[first + k];
         if (slot == ExecutionPlan::kNoSlot ||
             !ws.slots[static_cast<std::size_t>(slot)].initialized()) {
@@ -103,19 +121,20 @@ RunStep(Workspace& ws, std::size_t seq, int lane)
                 plan.graph->node(node.inputs[k].node).name +
                 "' was not produced");
         }
-        inputs[k] = ws.slots[static_cast<std::size_t>(slot)];
+        gathered[k] = &ws.slots[static_cast<std::size_t>(slot)];
     }
+    const graph::OpInputs inputs(gathered);
 
     const ExecutorContext& cx = ws.context;
     graph::OpContext ctx(node, inputs, *cx.intra_op_pool, *cx.rng,
                          *cx.variables);
 
     // In-place grant: the rewrite proved input 0 statically dies at this
-    // step; the refcount check (workspace slot + our gathered copy = 2)
+    // step; the refcount check (its workspace slot is the only holder)
     // rejects anything the static proof cannot see — seeded folds and
     // weights, caller feeds, view-shared buffers, planner-off retention.
     if (plan.inplace[seq] && !inputs.empty() && inputs[0].initialized() &&
-        inputs[0].buffer_use_count() == 2) {
+        inputs[0].buffer_use_count() == 1) {
         ctx.set_may_alias_input(true);
         if (telemetry::MetricsEnabled()) {
             ExecutorMetrics::Get().inplace_applied.Add(1);
@@ -124,8 +143,10 @@ RunStep(Workspace& ws, std::size_t seq, int lane)
 
     // Timestamps are only taken when tracing: the traced-off hot path
     // must stay inside the bench_telemetry overhead budget.
-    const bool traced = cx.tracer != nullptr && cx.tracer->enabled();
-    const auto op_start = traced ? Clock::now() : Clock::time_point{};
+    OpExecRecord* const record =
+        cx.tracer != nullptr ? cx.tracer->SlotFor(seq) : nullptr;
+    const auto op_start =
+        record != nullptr ? Clock::now() : Clock::time_point{};
     try {
         step.def->kernel(ctx);
     } catch (const std::exception& e) {
@@ -134,19 +155,18 @@ RunStep(Workspace& ws, std::size_t seq, int lane)
                                  ") failed: " + e.what());
     }
 
-    if (traced) {
-        OpExecRecord record;
-        record.node = node.id;
-        record.op_type = node.op_type;
-        record.op_class = step.def->op_class;
-        record.wall_seconds =
+    if (record != nullptr) {
+        record->wall_seconds =
             std::chrono::duration<double>(Clock::now() - op_start).count();
-        record.start_seconds =
+        record->start_seconds =
             std::chrono::duration<double>(op_start - ws.epoch).count();
-        record.worker = lane;
-        record.seq = static_cast<std::int64_t>(seq);
+        record->node = node.id;
+        record->op_type = node.op_type;
+        record->op_class = step.def->op_class;
+        record->worker = lane;
+        record->seq = static_cast<std::int64_t>(seq);
         if (step.def->cost) {
-            record.cost = step.def->cost(node, inputs, ctx.outputs());
+            record->cost = step.def->cost(node, inputs, ctx.outputs());
         } else {
             // Default: bytes-only cost from the outputs.
             graph::OpCost cost;
@@ -155,9 +175,8 @@ RunStep(Workspace& ws, std::size_t seq, int lane)
                     cost.bytes += static_cast<double>(out.byte_size());
                 }
             }
-            record.cost = cost;
+            record->cost = cost;
         }
-        cx.tracer->Record(std::move(record));
     }
 
     std::vector<Tensor>& outputs = ctx.outputs();
@@ -538,11 +557,32 @@ std::vector<Tensor>
 Execute(const ExecutionPlan& plan, const FeedMap& feeds,
         const ExecutorContext& context)
 {
-    Workspace ws{plan, context, {}, {}, nullptr, Clock::now()};
+    SlotStorage nested;
+    SlotStorage& storage = t_slot_storage.in_use ? nested : t_slot_storage;
+    const auto num_slots = static_cast<std::size_t>(plan.num_slots);
+    if (storage.slots.size() < num_slots) {
+        storage.slots.resize(num_slots);
+    }
+    // Hands the storage back with every slot empty, also on a throw.
+    struct Lease {
+        SlotStorage& storage;
+        std::size_t used;
+        ~Lease()
+        {
+            for (std::size_t i = 0; i < used; ++i) {
+                if (storage.slots[i].initialized()) {
+                    storage.slots[i] = Tensor();
+                }
+            }
+            storage.in_use = false;
+        }
+    } lease{storage, num_slots};
+    storage.in_use = true;
+
+    Workspace ws{plan, context, {storage.slots.data(), num_slots}, nullptr,
+                 Clock::now()};
     // Each seeded and fed slot holds its own reference, so the in-place
     // refcount gate sees the plan's or the caller's copy and refuses.
-    ws.slots.resize(static_cast<std::size_t>(plan.num_slots));
-    ws.inputs.resize(plan.input_slots.size());
     for (const auto& [slot, value] : plan.seeded) {
         ws.slots[static_cast<std::size_t>(slot)] = value;
     }

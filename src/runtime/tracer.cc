@@ -56,7 +56,8 @@ StepTrace::OverheadSeconds() const
 
 Tracer::Tracer(const Tracer& other)
     : enabled_(other.enabled_), in_step_(other.in_step_),
-      steps_(other.steps_), aux_lanes_(other.aux_lanes_),
+      steps_(other.steps_), slots_(other.slots_),
+      open_slots_(other.open_slots_), aux_lanes_(other.aux_lanes_),
       aux_spans_(other.aux_spans_), has_epoch_(other.has_epoch_),
       epoch_(other.epoch_)
 {
@@ -69,6 +70,8 @@ Tracer::operator=(const Tracer& other)
         enabled_ = other.enabled_;
         in_step_ = other.in_step_;
         steps_ = other.steps_;
+        slots_ = other.slots_;
+        open_slots_ = other.open_slots_;
         aux_lanes_ = other.aux_lanes_;
         aux_spans_ = other.aux_spans_;
         has_epoch_ = other.has_epoch_;
@@ -79,8 +82,8 @@ Tracer::operator=(const Tracer& other)
 
 Tracer::Tracer(Tracer&& other) noexcept
     : enabled_(other.enabled_), in_step_(other.in_step_),
-      steps_(std::move(other.steps_)),
-      aux_lanes_(std::move(other.aux_lanes_)),
+      steps_(std::move(other.steps_)), slots_(std::move(other.slots_)),
+      open_slots_(other.open_slots_), aux_lanes_(std::move(other.aux_lanes_)),
       aux_spans_(std::move(other.aux_spans_)),
       has_epoch_(other.has_epoch_), epoch_(other.epoch_)
 {
@@ -93,6 +96,8 @@ Tracer::operator=(Tracer&& other) noexcept
         enabled_ = other.enabled_;
         in_step_ = other.in_step_;
         steps_ = std::move(other.steps_);
+        slots_ = std::move(other.slots_);
+        open_slots_ = other.open_slots_;
         aux_lanes_ = std::move(other.aux_lanes_);
         aux_spans_ = std::move(other.aux_spans_);
         has_epoch_ = other.has_epoch_;
@@ -102,13 +107,16 @@ Tracer::operator=(Tracer&& other) noexcept
 }
 
 void
-Tracer::BeginStep(std::size_t expected_records)
+Tracer::BeginStep(std::size_t plan_steps)
 {
     if (!enabled_) {
         return;
     }
+    if (slots_.size() < plan_steps) {
+        slots_.resize(plan_steps);
+    }
+    open_slots_ = plan_steps;
     steps_.emplace_back();
-    steps_.back().records.reserve(expected_records);
     steps_.back().start_seconds = NowSeconds();
     in_step_ = true;
 }
@@ -134,14 +142,26 @@ Tracer::EndStep(double step_wall_seconds, const StepMemStats& memory)
     }
     StepTrace& step = steps_.back();
     step.memory = memory;
+    std::size_t filled = 0;
+    for (std::size_t i = 0; i < open_slots_; ++i) {
+        filled += slots_[i].node >= 0 ? 1 : 0;
+    }
+    step.records.reserve(step.records.size() + filled);
+    for (std::size_t i = 0; i < open_slots_; ++i) {
+        if (slots_[i].node >= 0) {
+            step.records.push_back(slots_[i]);
+            slots_[i].node = -1;
+        }
+    }
+    open_slots_ = 0;
     // Canonicalize: the parallel executor records ops in completion
-    // order; sorting by plan sequence makes traces scheduling-invariant
-    // (and is a no-op for the sequential executor).
-    std::stable_sort(
-        step.records.begin(), step.records.end(),
-        [](const OpExecRecord& a, const OpExecRecord& b) {
-            return a.seq < b.seq;
-        });
+    // order; sorting by plan sequence makes traces scheduling-invariant.
+    const auto by_seq = [](const OpExecRecord& a, const OpExecRecord& b) {
+        return a.seq < b.seq;
+    };
+    if (!std::is_sorted(step.records.begin(), step.records.end(), by_seq)) {
+        std::stable_sort(step.records.begin(), step.records.end(), by_seq);
+    }
     step.wall_seconds = step_wall_seconds;
     in_step_ = false;
 }

@@ -7,8 +7,13 @@
  * every executed operation, keyed by op type and op class, per step.
  * All analyses (Figs. 1-6) consume these traces.
  *
- * Record() is thread-safe so the inter-op parallel executor can trace
- * concurrently executing operations. Records carry the plan-order
+ * The executor fills one record slot per plan step in place
+ * (SlotFor). The slots are kept across steps, so tracing an op takes
+ * no lock, no allocation and no fresh memory inside the timed step,
+ * and concurrent inter-op lanes run distinct steps, so they write
+ * distinct slots. EndStep copies the filled slots into the step's
+ * trace after the step's wall time is taken. Record() appends a whole
+ * record under a lock, from any thread. Records carry the plan-order
  * sequence id of their op, and EndStep() sorts by it, so a step's trace
  * is canonical — independent of the scheduling order — and the Figs.
  * 1-6 analyses see the same record stream the sequential executor
@@ -150,11 +155,25 @@ class Tracer {
     bool enabled() const { return enabled_; }
 
     /** Begins a new step; records go to this step until EndStep.
-     * Reserves room for @p expected_records (e.g. the plan's size). */
-    void BeginStep(std::size_t expected_records = 0);
+     * Opens @p plan_steps record slots (see SlotFor). */
+    void BeginStep(std::size_t plan_steps = 0);
 
     /** Appends a record to the current step. Thread-safe. */
     void Record(OpExecRecord record);
+
+    /**
+     * @return the record slot of plan step @p seq in the open step, or
+     * nullptr when tracing is off, no step is open or @p seq is not
+     * below the BeginStep size. Fill it in place; a slot whose node is
+     * set joins the step at EndStep. Distinct seqs are distinct slots,
+     * so lanes running different steps need no lock.
+     */
+    OpExecRecord*
+    SlotFor(std::size_t seq)
+    {
+        return enabled_ && in_step_ && seq < open_slots_ ? &slots_[seq]
+                                                         : nullptr;
+    }
 
     /** Ends the step, canonicalizing record order by sequence id. */
     void EndStep(double step_wall_seconds, const StepMemStats& memory = {});
@@ -196,6 +215,10 @@ class Tracer {
     bool enabled_ = true;
     bool in_step_ = false;
     std::vector<StepTrace> steps_;
+    /** Per-plan-step records of the open step; node -1 marks unfilled.
+        Reused across steps, so filling one reuses its op_type storage. */
+    std::vector<OpExecRecord> slots_;
+    std::size_t open_slots_ = 0;  ///< slots of the open step.
     std::vector<std::string> aux_lanes_;
     std::vector<AuxSpan> aux_spans_;
     bool has_epoch_ = false;
