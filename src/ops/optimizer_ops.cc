@@ -65,35 +65,6 @@ UpdateCost(double flops_per_elem)
     };
 }
 
-/**
- * m = mu * m + g; v -= lr * m, element by element. Distinct buffers
- * (the usual case) take a loop the compiler may vectorize: each
- * element's arithmetic is the same, so are the bits.
- */
-void
-MomentumUpdate(float* v, float* m, const float* g, std::int64_t n, float lr,
-               float mu)
-{
-    auto update = [n, lr, mu](float* __restrict__ vr, float* __restrict__ mr,
-                              const float* __restrict__ gr) {
-        for (std::int64_t i = 0; i < n; ++i) {
-            mr[i] = mu * mr[i] + gr[i];
-            vr[i] -= lr * mr[i];
-        }
-    };
-    const auto disjoint = [n](const float* a, const float* b) {
-        return a + n <= b || b + n <= a;
-    };
-    if (disjoint(v, m) && disjoint(v, g) && disjoint(m, g)) {
-        update(v, m, g);
-        return;
-    }
-    for (std::int64_t i = 0; i < n; ++i) {
-        m[i] = mu * m[i] + g[i];
-        v[i] -= lr * m[i];
-    }
-}
-
 }  // namespace
 
 void
@@ -128,8 +99,14 @@ RegisterOptimizerOps()
             Tensor& mom = Slot(ctx, var_name, "momentum", var.shape());
             const float lr = ctx.node().attr("lr").AsFloat();
             const float mu = ctx.node().attr("momentum").AsFloat();
-            MomentumUpdate(var.data<float>(), mom.data<float>(),
-                           grad.data<float>(), var.num_elements(), lr, mu);
+            float* v = var.data<float>();
+            float* m = mom.data<float>();
+            const float* g = grad.data<float>();
+            const std::int64_t n = var.num_elements();
+            for (std::int64_t i = 0; i < n; ++i) {
+                m[i] = mu * m[i] + g[i];
+                v[i] -= lr * m[i];
+            }
         },
         UpdateCost(4.0), true});
 

@@ -57,25 +57,12 @@ struct ExecutorMetrics {
     }
 };
 
-/**
- * Slot storage, kept per thread across Execute calls, so a step reuses
- * warm slots instead of allocating, zero-filling and freeing one per
- * value each time. Every slot is empty between calls, so no buffer
- * outlives the call that made it.
- */
-struct SlotStorage {
-    std::vector<Tensor> slots;
-    bool in_use = false;  ///< a nested Execute takes its own storage.
-};
-
-thread_local SlotStorage t_slot_storage;
-
 /** One Execute() call's mutable state, shared by its lanes. */
 struct Workspace {
     const ExecutionPlan& plan;
     const ExecutorContext& context;
     /** Dense values: each slot written by one step or seed. */
-    std::span<Tensor> slots;
+    std::vector<Tensor> slots;
     /** Per step, outstanding consumer counts; null when the planner is
         off for this run. */
     std::unique_ptr<std::atomic<std::int32_t>[]> remaining;
@@ -164,7 +151,6 @@ RunStep(Workspace& ws, std::size_t seq, int lane)
         record->op_type = node.op_type;
         record->op_class = step.def->op_class;
         record->worker = lane;
-        record->seq = static_cast<std::int64_t>(seq);
         if (step.def->cost) {
             record->cost = step.def->cost(node, inputs, ctx.outputs());
         } else {
@@ -557,32 +543,10 @@ std::vector<Tensor>
 Execute(const ExecutionPlan& plan, const FeedMap& feeds,
         const ExecutorContext& context)
 {
-    SlotStorage nested;
-    SlotStorage& storage = t_slot_storage.in_use ? nested : t_slot_storage;
-    const auto num_slots = static_cast<std::size_t>(plan.num_slots);
-    if (storage.slots.size() < num_slots) {
-        storage.slots.resize(num_slots);
-    }
-    // Hands the storage back with every slot empty, also on a throw.
-    struct Lease {
-        SlotStorage& storage;
-        std::size_t used;
-        ~Lease()
-        {
-            for (std::size_t i = 0; i < used; ++i) {
-                if (storage.slots[i].initialized()) {
-                    storage.slots[i] = Tensor();
-                }
-            }
-            storage.in_use = false;
-        }
-    } lease{storage, num_slots};
-    storage.in_use = true;
-
-    Workspace ws{plan, context, {storage.slots.data(), num_slots}, nullptr,
-                 Clock::now()};
+    Workspace ws{plan, context, {}, nullptr, Clock::now()};
     // Each seeded and fed slot holds its own reference, so the in-place
     // refcount gate sees the plan's or the caller's copy and refuses.
+    ws.slots.resize(static_cast<std::size_t>(plan.num_slots));
     for (const auto& [slot, value] : plan.seeded) {
         ws.slots[static_cast<std::size_t>(slot)] = value;
     }

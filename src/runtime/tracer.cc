@@ -122,16 +122,6 @@ Tracer::BeginStep(std::size_t plan_steps)
 }
 
 void
-Tracer::Record(OpExecRecord record)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!enabled_ || !in_step_) {
-        return;
-    }
-    steps_.back().records.push_back(std::move(record));
-}
-
-void
 Tracer::EndStep(double step_wall_seconds, const StepMemStats& memory)
 {
     if (!enabled_) {
@@ -142,26 +132,15 @@ Tracer::EndStep(double step_wall_seconds, const StepMemStats& memory)
     }
     StepTrace& step = steps_.back();
     step.memory = memory;
-    std::size_t filled = 0;
-    for (std::size_t i = 0; i < open_slots_; ++i) {
-        filled += slots_[i].node >= 0 ? 1 : 0;
-    }
-    step.records.reserve(step.records.size() + filled);
+    step.records.reserve(open_slots_);
     for (std::size_t i = 0; i < open_slots_; ++i) {
         if (slots_[i].node >= 0) {
             step.records.push_back(slots_[i]);
+            step.records.back().seq = static_cast<std::int64_t>(i);
             slots_[i].node = -1;
         }
     }
     open_slots_ = 0;
-    // Canonicalize: the parallel executor records ops in completion
-    // order; sorting by plan sequence makes traces scheduling-invariant.
-    const auto by_seq = [](const OpExecRecord& a, const OpExecRecord& b) {
-        return a.seq < b.seq;
-    };
-    if (!std::is_sorted(step.records.begin(), step.records.end(), by_seq)) {
-        std::stable_sort(step.records.begin(), step.records.end(), by_seq);
-    }
     step.wall_seconds = step_wall_seconds;
     in_step_ = false;
 }

@@ -12,12 +12,10 @@
  * no lock, no allocation and no fresh memory inside the timed step,
  * and concurrent inter-op lanes run distinct steps, so they write
  * distinct slots. EndStep copies the filled slots into the step's
- * trace after the step's wall time is taken. Record() appends a whole
- * record under a lock, from any thread. Records carry the plan-order
- * sequence id of their op, and EndStep() sorts by it, so a step's trace
- * is canonical — independent of the scheduling order — and the Figs.
- * 1-6 analyses see the same record stream the sequential executor
- * produces.
+ * trace, in slot order, after the step's wall time is taken. A slot's
+ * index is its op's plan sequence id, so a step's trace is canonical —
+ * independent of the scheduling order — and the Figs. 1-6 analyses see
+ * the same record stream the sequential executor produces.
  */
 #ifndef FATHOM_RUNTIME_TRACER_H
 #define FATHOM_RUNTIME_TRACER_H
@@ -139,9 +137,10 @@ struct StepTrace {
 /**
  * Accumulates step traces across a run.
  *
- * Record() may be called from any thread between BeginStep and EndStep;
- * BeginStep/EndStep/steps()/Clear() belong to the step-driving thread
- * (they are not synchronized against an in-flight step).
+ * SlotFor() may be called from any thread between BeginStep and
+ * EndStep, one thread per slot; BeginStep/EndStep/steps()/Clear()
+ * belong to the step-driving thread (they are not synchronized against
+ * an in-flight step).
  */
 class Tracer {
   public:
@@ -154,19 +153,17 @@ class Tracer {
     void set_enabled(bool enabled) { enabled_ = enabled; }
     bool enabled() const { return enabled_; }
 
-    /** Begins a new step; records go to this step until EndStep.
-     * Opens @p plan_steps record slots (see SlotFor). */
-    void BeginStep(std::size_t plan_steps = 0);
-
-    /** Appends a record to the current step. Thread-safe. */
-    void Record(OpExecRecord record);
+    /** Begins a new step with one record slot per plan step (see
+     * SlotFor); records go to this step until EndStep. */
+    void BeginStep(std::size_t plan_steps);
 
     /**
      * @return the record slot of plan step @p seq in the open step, or
      * nullptr when tracing is off, no step is open or @p seq is not
      * below the BeginStep size. Fill it in place; a slot whose node is
-     * set joins the step at EndStep. Distinct seqs are distinct slots,
-     * so lanes running different steps need no lock.
+     * set joins the step at EndStep with seq set to @p seq. Distinct
+     * seqs are distinct slots, so lanes running different steps need no
+     * lock.
      */
     OpExecRecord*
     SlotFor(std::size_t seq)
@@ -175,7 +172,7 @@ class Tracer {
                                                          : nullptr;
     }
 
-    /** Ends the step, canonicalizing record order by sequence id. */
+    /** Ends the step, appending its filled slots in plan order. */
     void EndStep(double step_wall_seconds, const StepMemStats& memory = {});
 
     // ---- auxiliary lanes --------------------------------------------------
@@ -223,7 +220,7 @@ class Tracer {
     std::vector<AuxSpan> aux_spans_;
     bool has_epoch_ = false;
     std::chrono::steady_clock::time_point epoch_{};
-    std::mutex mu_;  ///< guards records/aux state during a step.
+    std::mutex mu_;  ///< guards aux state and the epoch.
 };
 
 }  // namespace fathom::runtime

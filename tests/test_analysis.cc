@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "analysis/op_profile.h"
 #include "analysis/scaling.h"
@@ -29,6 +31,20 @@ MakeRecord(const std::string& type, OpClass op_class, double wall,
     r.cost.bytes = 0;
     r.cost.parallel_work = parallel;
     return r;
+}
+
+/** Appends one traced step holding @p records, in order. */
+void
+TraceStep(runtime::Tracer& tracer, std::vector<runtime::OpExecRecord> records,
+          double wall)
+{
+    tracer.BeginStep(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        runtime::OpExecRecord& slot = *tracer.SlotFor(i);
+        slot = std::move(records[i]);
+        slot.node = static_cast<graph::NodeId>(i);
+    }
+    tracer.EndStep(wall);
 }
 
 TEST(OpProfileTest, AddAndFractions)
@@ -84,13 +100,12 @@ TEST(OpProfileTest, EmptyProfile)
 TEST(OpProfileTest, FromTraceSkipsWarmupAndControl)
 {
     runtime::Tracer tracer;
-    tracer.BeginStep();
-    tracer.Record(MakeRecord("Warm", OpClass::kElementwise, 100.0));
-    tracer.EndStep(100.0);
-    tracer.BeginStep();
-    tracer.Record(MakeRecord("MatMul", OpClass::kMatrixOps, 2.0));
-    tracer.Record(MakeRecord("Variable", OpClass::kControl, 50.0));
-    tracer.EndStep(3.0);
+    TraceStep(tracer, {MakeRecord("Warm", OpClass::kElementwise, 100.0)},
+              100.0);
+    TraceStep(tracer,
+              {MakeRecord("MatMul", OpClass::kMatrixOps, 2.0),
+               MakeRecord("Variable", OpClass::kControl, 50.0)},
+              3.0);
 
     const auto p = WallProfile(tracer, /*skip_steps=*/1);
     EXPECT_DOUBLE_EQ(p.total_seconds(), 2.0);  // warmup + control excluded.
@@ -101,11 +116,10 @@ TEST(OpProfileTest, FromTraceSkipsWarmupAndControl)
 TEST(OpProfileTest, SimulatedSourceUsesCosts)
 {
     runtime::Tracer tracer;
-    tracer.BeginStep();
     // wall time 1s, but cost says 8e9 flops => 1s at 8 GFLOP/s CPU(1).
-    tracer.Record(
-        MakeRecord("MatMul", OpClass::kMatrixOps, 123.0, 8e9, 1 << 20));
-    tracer.EndStep(123.0);
+    TraceStep(tracer,
+              {MakeRecord("MatMul", OpClass::kMatrixOps, 123.0, 8e9, 1 << 20)},
+              123.0);
     const auto p = ProfileFromTrace(tracer, 0, TimeSource::kSimulated,
                                     runtime::DeviceSpec::Cpu(1));
     EXPECT_NEAR(p.total_seconds(), 1.0, 0.01);
@@ -177,10 +191,10 @@ TEST(StationarityTest, StableSeriesHasLowCvAndDrift)
 {
     runtime::Tracer tracer;
     for (int s = 0; s < 20; ++s) {
-        tracer.BeginStep();
-        tracer.Record(MakeRecord("MatMul", OpClass::kMatrixOps, 1.0));
-        tracer.Record(MakeRecord("MatMul", OpClass::kMatrixOps, 1.0));
-        tracer.EndStep(2.1);
+        TraceStep(tracer,
+                  {MakeRecord("MatMul", OpClass::kMatrixOps, 1.0),
+                   MakeRecord("MatMul", OpClass::kMatrixOps, 1.0)},
+                  2.1);
     }
     const auto stats = ComputeStationarity(tracer, 0);
     ASSERT_EQ(stats.size(), 1u);
@@ -195,11 +209,10 @@ TEST(StationarityTest, DriftDetectsTrend)
 {
     runtime::Tracer tracer;
     for (int s = 0; s < 10; ++s) {
-        tracer.BeginStep();
         // First half 1.0, second half 3.0.
-        tracer.Record(MakeRecord("Op", OpClass::kElementwise,
-                                 s < 5 ? 1.0 : 3.0));
-        tracer.EndStep(3.0);
+        TraceStep(tracer,
+                  {MakeRecord("Op", OpClass::kElementwise, s < 5 ? 1.0 : 3.0)},
+                  3.0);
     }
     const auto stats = ComputeStationarity(tracer, 0);
     ASSERT_EQ(stats.size(), 1u);
@@ -209,9 +222,7 @@ TEST(StationarityTest, DriftDetectsTrend)
 TEST(StationarityTest, OverheadFraction)
 {
     runtime::Tracer tracer;
-    tracer.BeginStep();
-    tracer.Record(MakeRecord("Op", OpClass::kElementwise, 0.9));
-    tracer.EndStep(1.0);
+    TraceStep(tracer, {MakeRecord("Op", OpClass::kElementwise, 0.9)}, 1.0);
     EXPECT_NEAR(FrameworkOverheadFraction(tracer, 0), 0.1, 1e-9);
     EXPECT_DOUBLE_EQ(FrameworkOverheadFraction(tracer, 5), 0.0);
 }
@@ -219,10 +230,10 @@ TEST(StationarityTest, OverheadFraction)
 TEST(ScalingTest, SweepShrinksParallelOpsOnly)
 {
     runtime::Tracer tracer;
-    tracer.BeginStep();
-    tracer.Record(MakeRecord("Big", OpClass::kMatrixOps, 1.0, 1e9, 1 << 20));
-    tracer.Record(MakeRecord("Tiny", OpClass::kElementwise, 1.0, 1e3, 8));
-    tracer.EndStep(2.0);
+    TraceStep(tracer,
+              {MakeRecord("Big", OpClass::kMatrixOps, 1.0, 1e9, 1 << 20),
+               MakeRecord("Tiny", OpClass::kElementwise, 1.0, 1e3, 8)},
+              2.0);
 
     const auto sweep = SweepThreads(tracer, 0, {1, 8});
     const auto& big = sweep.seconds_by_type.at("Big");
@@ -235,10 +246,10 @@ TEST(ScalingTest, SweepShrinksParallelOpsOnly)
 TEST(ScalingTest, TopTypesOrdersBySingleThreadTime)
 {
     runtime::Tracer tracer;
-    tracer.BeginStep();
-    tracer.Record(MakeRecord("Small", OpClass::kElementwise, 1.0, 1e6, 1));
-    tracer.Record(MakeRecord("Large", OpClass::kMatrixOps, 1.0, 1e9, 1));
-    tracer.EndStep(2.0);
+    TraceStep(tracer,
+              {MakeRecord("Small", OpClass::kElementwise, 1.0, 1e6, 1),
+               MakeRecord("Large", OpClass::kMatrixOps, 1.0, 1e9, 1)},
+              2.0);
     const auto sweep = SweepThreads(tracer, 0, {1});
     const auto top = TopTypes(sweep, 2);
     ASSERT_EQ(top.size(), 2u);
@@ -249,10 +260,10 @@ TEST(ScalingTest, TopTypesOrdersBySingleThreadTime)
 TEST(ScalingTest, SimulatedTotalExcludesControl)
 {
     runtime::Tracer tracer;
-    tracer.BeginStep();
-    tracer.Record(MakeRecord("Var", OpClass::kControl, 1.0, 1e9, 1));
-    tracer.Record(MakeRecord("MatMul", OpClass::kMatrixOps, 1.0, 8e9, 1));
-    tracer.EndStep(2.0);
+    TraceStep(tracer,
+              {MakeRecord("Var", OpClass::kControl, 1.0, 1e9, 1),
+               MakeRecord("MatMul", OpClass::kMatrixOps, 1.0, 8e9, 1)},
+              2.0);
     const double total =
         SimulatedTotalSeconds(tracer, 0, runtime::DeviceSpec::Cpu(1));
     EXPECT_NEAR(total, 1.0, 0.01);  // only the MatMul contributes.

@@ -2,11 +2,11 @@
  * @file
  * Concurrency tests for the tracer.
  *
- * Tracer::Record must accept calls from any thread between BeginStep
- * and EndStep without losing records, and EndStep must canonicalize
- * record order by plan sequence id so traces are independent of
- * scheduling. Wall times in these tests are multiples of 1/1024 so
- * sums are exact in double and the aggregate checks can use equality.
+ * Threads filling distinct Tracer::SlotFor slots between BeginStep
+ * and EndStep must lose no record, and EndStep must emit them in plan
+ * sequence order so traces are independent of scheduling. Wall times
+ * in these tests are multiples of 1/1024 so sums are exact in double
+ * and the aggregate checks can use equality.
  */
 #include <gtest/gtest.h>
 
@@ -34,19 +34,23 @@ TEST(TracerConcurrentTest, HammerRecordFromManyThreads)
         OpClass::kReductionExpansion, OpClass::kDataMovement};
 
     Tracer tracer;
-    tracer.BeginStep();
+    tracer.BeginStep(kThreads * kPerThread);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&tracer, &classes, t] {
+            // Thread t takes every kThreads-th slot, so neighbouring
+            // slots are written by different threads.
             for (int i = 0; i < kPerThread; ++i) {
-                OpExecRecord record;
-                record.seq = static_cast<std::int64_t>(t) * kPerThread + i;
-                record.node = static_cast<graph::NodeId>(record.seq);
-                record.op_class = classes[record.seq % classes.size()];
-                record.op_type = "Op" + std::to_string(t);
-                record.wall_seconds =
-                    static_cast<double>(record.seq % 64 + 1) / 1024.0;
-                tracer.Record(std::move(record));
+                const std::int64_t seq =
+                    static_cast<std::int64_t>(i) * kThreads + t;
+                OpExecRecord* record =
+                    tracer.SlotFor(static_cast<std::size_t>(seq));
+                ASSERT_NE(record, nullptr);
+                record->node = static_cast<graph::NodeId>(seq);
+                record->op_class = classes[seq % classes.size()];
+                record->op_type = "Op" + std::to_string(t);
+                record->wall_seconds =
+                    static_cast<double>(seq % 64 + 1) / 1024.0;
             }
         });
     }
@@ -85,16 +89,24 @@ TEST(TracerConcurrentTest, HammerRecordFromManyThreads)
 TEST(TracerConcurrentTest, RecordsOutsideStepAreDropped)
 {
     Tracer tracer;
-    OpExecRecord record;
-    record.wall_seconds = 0.5;
-    tracer.Record(record);  // no BeginStep: silently ignored
+    EXPECT_EQ(tracer.SlotFor(0), nullptr);  // no BeginStep
     EXPECT_TRUE(tracer.steps().empty());
 
-    tracer.set_enabled(false);
-    tracer.BeginStep();
-    tracer.Record(record);
+    tracer.BeginStep(2);
+    EXPECT_EQ(tracer.SlotFor(2), nullptr);  // past the plan's steps
+    tracer.SlotFor(1)->node = 7;            // slot 0 left unfilled
     tracer.EndStep(1.0);
-    EXPECT_TRUE(tracer.steps().empty());
+    ASSERT_EQ(tracer.steps().size(), 1u);
+    ASSERT_EQ(tracer.steps()[0].records.size(), 1u);
+    EXPECT_EQ(tracer.steps()[0].records[0].node, 7);
+    EXPECT_EQ(tracer.steps()[0].records[0].seq, 1);
+    EXPECT_EQ(tracer.SlotFor(0), nullptr);  // after EndStep
+
+    tracer.set_enabled(false);
+    tracer.BeginStep(2);
+    EXPECT_EQ(tracer.SlotFor(0), nullptr);
+    tracer.EndStep(1.0);
+    EXPECT_EQ(tracer.steps().size(), 1u);
 }
 
 TEST(TracerConcurrentTest, CopyDetachesFromSource)
@@ -102,11 +114,10 @@ TEST(TracerConcurrentTest, CopyDetachesFromSource)
     // suite.cc copies live tracers into WorkloadTraces; the copy must
     // carry the steps and stay independent of the original.
     Tracer tracer;
-    tracer.BeginStep();
-    OpExecRecord record;
-    record.seq = 0;
-    record.wall_seconds = 0.25;
-    tracer.Record(record);
+    tracer.BeginStep(1);
+    OpExecRecord* record = tracer.SlotFor(0);
+    record->node = 0;
+    record->wall_seconds = 0.25;
     tracer.EndStep(0.5);
 
     Tracer copy = tracer;
