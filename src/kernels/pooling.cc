@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 #include <stdexcept>
 
 #include "kernels/reduction.h"
@@ -131,45 +130,30 @@ MaxPoolGrad(const Tensor& input, const Tensor& grad_out, std::int64_t window,
     // route gradient to the same input cell, so the parallel write
     // pattern is unsafe. Pool gradients are a tiny slice of runtime.
     parallel::ThreadPool inline_pool(1);
-    std::vector<float> best_buf(static_cast<std::size_t>(g.channels));
-    std::vector<std::int64_t> idx_buf(static_cast<std::size_t>(g.channels));
     ForEachWindow(g, inline_pool,
                   [&](std::int64_t n, std::int64_t oh, std::int64_t ow,
                       std::int64_t h0, std::int64_t h1, std::int64_t w0,
                       std::int64_t w1) {
-        if (h0 >= h1 || w0 >= w1) {
-            return;
-        }
-        // Per channel, find the element NanMax leaves in the forward
-        // output (the last NaN, else the first maximum), scanning the
-        // window pixel by pixel with the channels inner. Selects, not
-        // branches: the comparisons follow the data. Locals, not
-        // captures, so the index stores cannot alias the geometry.
-        const std::int64_t channels = g.channels;
-        const std::int64_t img = n * in_img;
-        const std::int64_t row = in_row;
-        float* best = best_buf.data();
-        std::int64_t* best_idx = idx_buf.data();
-        const std::int64_t first = img + h0 * row + w0 * channels;
-        for (std::int64_t c = 0; c < channels; ++c) {
-            best[c] = in[first + c];
-            best_idx[c] = first + c;
-        }
-        for (std::int64_t h = h0; h < h1; ++h) {
-            for (std::int64_t w = h == h0 ? w0 + 1 : w0; w < w1; ++w) {
-                const std::int64_t at = img + h * row + w * channels;
-                for (std::int64_t c = 0; c < channels; ++c) {
-                    const float v = in[at + c];
-                    const std::int64_t take =
-                        -static_cast<std::int64_t>((v != v) | (v > best[c]));
-                    best[c] = NanMax(best[c], v);
-                    best_idx[c] = (best_idx[c] & ~take) | ((at + c) & take);
+        const float* goptr = go + n * out_img + oh * out_row + ow * g.channels;
+        for (std::int64_t c = 0; c < g.channels; ++c) {
+            float best = -std::numeric_limits<float>::infinity();
+            std::int64_t best_idx = -1;
+            for (std::int64_t h = h0; h < h1; ++h) {
+                for (std::int64_t w = w0; w < w1; ++w) {
+                    const std::int64_t idx =
+                        n * in_img + h * in_row + w * g.channels + c;
+                    // The element NanMax leaves in the forward output:
+                    // the last NaN, else the first maximum.
+                    if (best_idx < 0 || in[idx] != in[idx] ||
+                        in[idx] > best) {
+                        best = in[idx];
+                        best_idx = idx;
+                    }
                 }
             }
-        }
-        const float* goptr = go + n * out_img + oh * out_row + ow * channels;
-        for (std::int64_t c = 0; c < channels; ++c) {
-            gi[best_idx[c]] += goptr[c];
+            if (best_idx >= 0) {
+                gi[best_idx] += goptr[c];
+            }
         }
     });
     (void)pool;
